@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -84,7 +84,8 @@ func (a *Answer) String() string {
 // (and node set), used to detect the same tree re-discovered with a
 // different root ("rotations", §4.6).
 func (a *Answer) Signature() uint64 {
-	pairs := make([]uint64, 0, len(a.Edges)+1)
+	var buf [32]uint64
+	pairs := buf[:0]
 	for _, e := range a.Edges {
 		lo, hi := e.From, e.To
 		if lo > hi {
@@ -95,7 +96,7 @@ func (a *Answer) Signature() uint64 {
 	if len(pairs) == 0 {
 		pairs = append(pairs, uint64(a.Root)<<32|uint64(uint32(a.Root)))
 	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i] < pairs[j] })
+	slices.Sort(pairs)
 	// FNV-1a over the sorted pair list.
 	const offset64 = 14695981039346656037
 	const prime64 = 1099511628211
@@ -123,27 +124,53 @@ func buildAnswer(g graph.View, opts Options, root graph.NodeID, paths [][]graph.
 	kwBits func(graph.NodeID) uint32, nk int) *Answer {
 	lambda := opts.Lambda
 
-	parent := map[graph.NodeID]graph.NodeID{root: graph.InvalidNode}
-	order := []graph.NodeID{root}
+	// Trees have at most nk·(DMax+1) nodes, so node lookups scan order
+	// linearly; per-node values live in slices parallel to it (stack
+	// buffers for the usual small tree).
+	size := 1
+	for _, path := range paths {
+		size += len(path)
+	}
+	order := make([]graph.NodeID, 1, size)
+	order[0] = root
+	indexOf := func(u graph.NodeID) int {
+		for j, v := range order {
+			if v == u {
+				return j
+			}
+		}
+		return -1
+	}
+	var parentBuf, childBuf [64]int32
+	var distBuf [64]float64
+	parent := append(parentBuf[:0], -1) // parent[j]: order index of order[j]'s parent
 	for _, path := range paths {
 		if len(path) == 0 || path[0] != root {
 			return nil // malformed; defensive
 		}
+		prev := 0
 		for j := 1; j < len(path); j++ {
-			u := path[j]
-			if _, seen := parent[u]; !seen {
-				parent[u] = path[j-1]
-				order = append(order, u)
+			at := indexOf(path[j])
+			if at < 0 {
+				at = len(order)
+				order = append(order, path[j])
+				parent = append(parent, int32(prev))
 			}
+			prev = at
 		}
 	}
 
 	// Realized per-node distance from root along tree edges.
-	distFromRoot := map[graph.NodeID]float64{root: 0}
+	distFromRoot := append(distBuf[:0], 0)
+	var children []int32
+	if len(order) <= len(childBuf) {
+		children = childBuf[:len(order)]
+	} else {
+		children = make([]int32, len(order))
+	}
 	edges := make([]TreeEdge, 0, len(order)-1)
-	children := make(map[graph.NodeID]int, len(order))
-	for _, u := range order[1:] {
-		p := parent[u]
+	for j := 1; j < len(order); j++ {
+		u, p := order[j], order[parent[j]]
 		w, et, fwd, ok := minEdge(g, p, u, opts.EdgeFilter)
 		if !ok {
 			// The parent pointer must correspond to a combined edge; if
@@ -153,9 +180,9 @@ func buildAnswer(g graph.View, opts Options, root graph.NodeID, paths [][]graph.
 		// The spliced parent may differ from the path predecessor, so the
 		// realized distance is computed over tree edges, in insertion
 		// order (parents always precede children in order).
-		distFromRoot[u] = distFromRoot[p] + w
+		distFromRoot = append(distFromRoot, distFromRoot[parent[j]]+w)
 		edges = append(edges, TreeEdge{From: p, To: u, Weight: w, Type: et, Forward: fwd})
-		children[p]++
+		children[parent[j]]++
 	}
 
 	// Keyword nodes: last node of each path.
@@ -165,13 +192,13 @@ func buildAnswer(g graph.View, opts Options, root graph.NodeID, paths [][]graph.
 	for i, path := range paths {
 		end := path[len(path)-1]
 		kwNodes[i] = end
-		pathWeights[i] = distFromRoot[end]
+		pathWeights[i] = distFromRoot[indexOf(end)]
 		edgeScore += pathWeights[i]
 	}
 
 	// Minimality (§3): a tree whose root has one child is redundant if the
 	// keywords are covered without the root.
-	if children[root] == 1 && len(order) > 1 {
+	if children[0] == 1 && len(order) > 1 {
 		var cover uint32
 		for _, u := range order[1:] {
 			cover |= kwBits(u)
@@ -189,9 +216,9 @@ func buildAnswer(g graph.View, opts Options, root graph.NodeID, paths [][]graph.
 
 	// Node prestige score: root plus leaves (§2.3).
 	nodeScore := g.Prestige(root)
-	for _, u := range order[1:] {
-		if children[u] == 0 {
-			nodeScore += g.Prestige(u)
+	for j := 1; j < len(order); j++ {
+		if children[j] == 0 {
+			nodeScore += g.Prestige(order[j])
 		}
 	}
 	if len(order) == 1 {

@@ -42,34 +42,42 @@ func MIBackward(ctx context.Context, g graph.View, keywords [][]graph.NodeID, op
 	start := time.Now()
 	stats := &Stats{}
 	out := newOutputHeap(opts.K, !opts.StrictBound, start, stats, opts.Emit)
+	scr := getMIScratch(g.NumNodes(), keywords)
 	m := &miSearch{
 		canceller: newCanceller(ctx, stats),
 		g:         g,
 		opts:      opts,
 		nk:        len(keywords),
 		kw:        keywords,
-		bits:      make(map[graph.NodeID]uint32),
-		glob:      make(map[graph.NodeID]*miGlobal),
+		scr:       scr,
 		out:       out,
 		stats:     stats,
-		sched:     pqueue.NewMin[int](),
+		sched:     scr.sched,
 	}
-	for i, s := range keywords {
-		for _, u := range s {
-			m.bits[u] |= 1 << i
-		}
-	}
+	defer m.putScratch()
 	if !m.expired() && !anyEmptyKeyword(keywords) {
 		m.seed()
 		if opts.Workers >= 1 {
 			m.runParallel(opts.Workers)
 		} else {
+			m.tabs = m.scr.tables(1)
 			m.source = m.serialSource
 			m.run()
 		}
 	}
+	m.putScratch()
 	stats.Duration = time.Since(start)
 	return &Result{Answers: out.results(), Stats: *stats}, nil
+}
+
+// putScratch hands the scratch back to the pool, once, after every
+// producer goroutine has stopped. Like searchContext.putScratch it runs
+// before the duration is stamped and is deferred for other exit paths.
+func (m *miSearch) putScratch() {
+	if m.scr != nil {
+		m.scr.put()
+		m.scr = nil
+	}
 }
 
 // miIterator is one single-source shortest-path iterator (§3): Dijkstra
@@ -77,14 +85,44 @@ func MIBackward(ctx context.Context, g graph.View, keywords [][]graph.NodeID, op
 // iterator-local: after seeding, an iterator is touched by exactly one
 // goroutine (the coordinator in serial mode, its owning worker in parallel
 // mode) and never read by the merge — the merge sees only miEvents.
+//
+// An iterator keeps one record per node it has reached, in reach order
+// (its slots). The node → slot lookup, one per relaxation, goes through a
+// table its owner shares among all its iterators (miTable): arrays
+// indexed by NodeID would be cheaper still, but a query can run
+// thousands of iterators, and NumNodes entries each is too much memory.
 type miIterator struct {
-	origin graph.NodeID
+	// idx is the iterator's index in the search, its key in the table.
+	idx  int32
+	recs []miRec
+	// frontier holds the reached, unsettled nodes, keyed by slot.
+	frontier pqueue.Heap[int32]
+	// settled counts the nodes settled so far.
+	settled int32
+}
 
-	frontier *pqueue.Heap[graph.NodeID]
-	dist     map[graph.NodeID]float64
-	next     map[graph.NodeID]graph.NodeID // next hop toward the origin
-	depth    map[graph.NodeID]int32
-	settled  map[graph.NodeID]struct{}
+// miRec is an iterator's bookkeeping for one reached node.
+type miRec struct {
+	dist float64
+	node graph.NodeID
+	// next is the slot of the next hop toward the origin (-1 at the
+	// origin).
+	next  int32
+	depth int32
+	// seq is the node's settle order in this iterator, -1 until settled.
+	seq int32
+}
+
+// start makes the iterator a fresh Dijkstra from origin as iterator idx.
+// Its records and frontier start out in the given storage (see
+// miScratch.iterator). The origin enters its owner's table when it
+// settles, which it does first.
+func (it *miIterator) start(idx int32, origin graph.NodeID, recs []miRec, items []int32, prio []float64, pos []int32) {
+	it.idx, it.settled = idx, 0
+	it.recs = append(recs[:0], miRec{node: origin, next: -1, seq: -1})
+	it.frontier = *pqueue.NewMin[int32]()
+	it.frontier.Use(items, prio, pos)
+	it.frontier.Push(0, 0)
 }
 
 // miEvent is one settle produced by an iterator's advance: everything the
@@ -94,12 +132,13 @@ type miEvent struct {
 	// v was settled at distance d.
 	v graph.NodeID
 	d float64
-	// pred is v's next hop toward the iterator origin at settle time
-	// (InvalidNode at the origin itself). Predecessor chains run through
-	// settled nodes only, whose next pointers are final, so the
-	// coordinator can rebuild root→origin paths from consumed events
-	// alone.
-	pred graph.NodeID
+	// pred is the settle order (in the same iterator) of v's next hop
+	// toward the origin at settle time, -1 at the origin itself. v's own
+	// settle order is the number of events its iterator produced before.
+	// Predecessor chains run through settled nodes only, whose next
+	// pointers are final, so the coordinator can rebuild root→origin
+	// paths from consumed events alone.
+	pred int32
 	// nextD/nextOK give the iterator's frontier head after the expansion —
 	// the priority the serial loop re-schedules the iterator with.
 	nextD  float64
@@ -113,39 +152,52 @@ type miEvent struct {
 // state only: settle the minimum-distance frontier node and expand the
 // frontier across incoming combined edges. It fills ev with the step's
 // globally visible effects, which the coordinator applies in schedule
-// order (applyEvent). ok is false when the frontier is exhausted.
-func (it *miIterator) advance(g graph.View, opts *Options, ev *miEvent) bool {
-	v, d, ok := it.frontier.Pop()
+// order (applyEvent). ok is false when the frontier is exhausted. tab is
+// the table of the iterator's owner.
+func (it *miIterator) advance(g graph.View, opts *Options, tab *miTable, ev *miEvent) bool {
+	sv, d, ok := it.frontier.Pop()
 	if !ok {
 		return false
 	}
-	it.settled[v] = struct{}{}
-	ev.v, ev.d, ev.pred = v, d, it.next[v]
+	rv := &it.recs[sv]
+	if it.settled == 0 {
+		tab.find(it.idx, rv.node, sv)
+	}
+	rv.seq = it.settled
+	it.settled++
+	v, depth := rv.node, rv.depth
+	ev.v, ev.d, ev.pred = v, d, -1
+	if rv.next >= 0 {
+		ev.pred = it.recs[rv.next].seq
+	}
 	ev.touched, ev.relaxed = 0, 0
 
-	if int(it.depth[v]) < opts.DMax {
+	if int(depth) < opts.DMax {
 		for _, h := range g.Neighbors(v) {
 			if opts.EdgeFilter != nil && !opts.EdgeFilter(h.Type, h.Forward) {
 				continue
 			}
 			u := h.To
-			if _, done := it.settled[u]; done {
+			nd := d + h.WIn
+			su, seen := tab.find(it.idx, u, int32(len(it.recs)))
+			if seen {
+				// A reached node is queued until it settles, at a
+				// priority equal to its distance.
+				ru := &it.recs[su]
+				if ru.seq >= 0 {
+					continue
+				}
+				ev.relaxed++
+				if nd < ru.dist {
+					ru.dist, ru.next, ru.depth = nd, sv, depth+1
+					it.frontier.Bump(su, nd)
+				}
 				continue
 			}
 			ev.relaxed++
-			nd := d + h.WIn
-			old, seen := it.dist[u]
-			if !seen || nd < old {
-				it.dist[u] = nd
-				it.next[u] = v
-				it.depth[u] = it.depth[v] + 1
-				if it.frontier.Contains(u) {
-					it.frontier.Bump(u, nd)
-				} else {
-					it.frontier.Push(u, nd)
-					ev.touched++
-				}
-			}
+			it.recs = append(it.recs, miRec{dist: nd, node: u, next: sv, depth: depth + 1, seq: -1})
+			it.frontier.Push(su, nd)
+			ev.touched++
 		}
 	}
 	_, nd, nok := it.frontier.Peek()
@@ -153,18 +205,19 @@ func (it *miIterator) advance(g graph.View, opts *Options, ev *miEvent) bool {
 	return true
 }
 
-// miGlobal is the cross-iterator state of one node: the best settled
-// distance and owning iterator per keyword.
+// miGlobal is the cross-iterator state of one node: per keyword, the
+// best settled distance, the iterator that settled it and the node's
+// settle order in that iterator.
 type miGlobal struct {
 	dist        []float64
-	it          []int32
+	it, seq     []int32
 	lastEmitSum float64
 }
 
 // miSearch is the merge coordinator. Besides the shared search plumbing it
 // keeps, per iterator, exactly the event-derived state the serial loop
-// would read from the live iterator: keyword index, origin, settled
-// predecessor map, and the current frontier-head distance.
+// would read from the live iterator: keyword index, the settled nodes
+// with their predecessors, and the current frontier-head distance.
 type miSearch struct {
 	canceller
 
@@ -172,23 +225,27 @@ type miSearch struct {
 	opts Options
 	nk   int
 	kw   [][]graph.NodeID
-	bits map[graph.NodeID]uint32
+	scr  *miScratch
 
 	// iters holds the live iterators. The coordinator drives them inline
 	// in serial mode; in parallel mode ownership passes to the workers at
 	// spawn and the coordinator must not touch them again.
 	iters []*miIterator
 	// Per-iterator merge state, indexed like iters.
-	kwOf   []int
-	origin []graph.NodeID
-	pred   []map[graph.NodeID]graph.NodeID
+	kwOf []int
+	// chains[idx][s] is the s-th node iterator idx settled, with the
+	// settle order of its next hop toward the origin.
+	chains [][]miLink
 	nextD  []float64
 	nextOK []bool
 
-	glob  map[graph.NodeID]*miGlobal
 	out   *outputHeap
 	stats *Stats
-	sched *pqueue.Heap[int]
+	// sched orders iterators (by index) by their frontier-head distance.
+	sched *pqueue.Heap[int32]
+	// tabs[w] is the node → slot table of the iterators worker w owns
+	// (tabs[0] of all of them in serial mode).
+	tabs []*miTable
 
 	// source yields iterator idx's next event; it abstracts inline
 	// production (serial) from channel consumption (parallel) so run() is
@@ -199,24 +256,15 @@ type miSearch struct {
 func (m *miSearch) seed() {
 	for i, si := range m.kw {
 		for _, u := range si {
-			it := &miIterator{
-				origin:   u,
-				frontier: pqueue.NewMin[graph.NodeID](),
-				dist:     map[graph.NodeID]float64{u: 0},
-				next:     map[graph.NodeID]graph.NodeID{u: graph.InvalidNode},
-				depth:    map[graph.NodeID]int32{u: 0},
-				settled:  make(map[graph.NodeID]struct{}),
-			}
-			it.frontier.Push(u, 0)
-			m.stats.NodesTouched++
 			idx := len(m.iters)
+			it, chain := m.scr.iterator(idx, u)
+			m.stats.NodesTouched++
 			m.iters = append(m.iters, it)
 			m.kwOf = append(m.kwOf, i)
-			m.origin = append(m.origin, u)
-			m.pred = append(m.pred, make(map[graph.NodeID]graph.NodeID))
+			m.chains = append(m.chains, chain)
 			m.nextD = append(m.nextD, 0)
 			m.nextOK = append(m.nextOK, true)
-			m.sched.Push(idx, 0)
+			m.sched.Push(int32(idx), 0)
 		}
 	}
 }
@@ -224,7 +272,7 @@ func (m *miSearch) seed() {
 // serialSource produces iterator idx's next event inline (Workers == 0).
 func (m *miSearch) serialSource(idx int) (miEvent, bool) {
 	var ev miEvent
-	ok := m.iters[idx].advance(m.g, &m.opts, &ev)
+	ok := m.iters[idx].advance(m.g, &m.opts, m.tabs[0], &ev)
 	return ev, ok
 }
 
@@ -242,7 +290,8 @@ func (m *miSearch) run() {
 		if m.cancelled() {
 			break
 		}
-		idx, _, _ := m.sched.Pop()
+		i, _, _ := m.sched.Pop()
+		idx := int(i)
 		ev, ok := m.source(idx)
 		if !ok {
 			// A scheduled iterator always has an event pending (it was
@@ -252,7 +301,7 @@ func (m *miSearch) run() {
 		}
 		m.applyEvent(idx, ev)
 		if ev.nextOK {
-			m.sched.Push(idx, ev.nextD)
+			m.sched.Push(i, ev.nextD)
 		}
 		sinceBound++
 		if sinceBound >= boundEvery {
@@ -271,9 +320,10 @@ func (m *miSearch) run() {
 // explored counter first (answer generation stamps read it), then the
 // reach recording and any emissions, then the expansion counters.
 func (m *miSearch) applyEvent(idx int, ev miEvent) {
-	m.pred[idx][ev.v] = ev.pred
+	seq := int32(len(m.chains[idx]))
+	m.chains[idx] = append(m.chains[idx], miLink{node: ev.v, pred: ev.pred})
 	m.stats.NodesExplored++
-	m.recordReach(ev.v, ev.d, idx)
+	m.recordReach(ev.v, ev.d, idx, seq)
 	m.stats.EdgesRelaxed += ev.relaxed
 	m.stats.NodesTouched += ev.touched
 	m.nextD[idx], m.nextOK[idx] = ev.nextD, ev.nextOK
@@ -287,24 +337,14 @@ func (m *miSearch) applyEvent(idx int, ev miEvent) {
 // containing the keyword"), so every settle of a complete node emits the
 // combination routing its keyword through the settling iterator; the
 // output heap filters duplicates and keeps the best-scoring variants.
-func (m *miSearch) recordReach(v graph.NodeID, d float64, idx int) {
-	gn, ok := m.glob[v]
-	if !ok {
-		gn = &miGlobal{
-			dist:        make([]float64, m.nk),
-			it:          make([]int32, m.nk),
-			lastEmitSum: math.Inf(1),
-		}
-		for i := range gn.dist {
-			gn.dist[i] = math.Inf(1)
-			gn.it[i] = -1
-		}
-		m.glob[v] = gn
-	}
+// seq is v's settle order in iterator idx.
+func (m *miSearch) recordReach(v graph.NodeID, d float64, idx int, seq int32) {
+	gn := m.scr.global(v, m.nk)
 	kw := m.kwOf[idx]
 	if d < gn.dist[kw] {
 		gn.dist[kw] = d
 		gn.it[kw] = int32(idx)
+		gn.seq[kw] = seq
 	}
 	m.maybeEmit(v, gn)
 	// Emit the variant that reaches keyword kw through this specific
@@ -312,23 +352,26 @@ func (m *miSearch) recordReach(v graph.NodeID, d float64, idx int) {
 	// keeps all such per-origin trees, and a longer path may end at a
 	// higher-prestige leaf.
 	if gn.it[kw] != int32(idx) {
-		m.emitVariant(v, gn, kw, int32(idx))
+		m.emitVariant(v, gn, kw, int32(idx), seq)
 	}
 }
 
 // emitVariant emits the tree rooted at v whose path for keyword kw goes
-// through iterator override, with all other keywords routed through their
-// best iterators. No-op while v is incomplete.
-func (m *miSearch) emitVariant(v graph.NodeID, gn *miGlobal, kw int, override int32) {
+// through iterator override (which settled v as its seq-th node), with all
+// other keywords routed through their best iterators. No-op while v is
+// incomplete.
+func (m *miSearch) emitVariant(v graph.NodeID, gn *miGlobal, kw int, override, seq int32) {
 	for i := 0; i < m.nk; i++ {
 		if gn.it[i] < 0 {
 			return
 		}
 	}
-	its := make([]int32, m.nk)
+	var itBuf, seqBuf [MaxKeywords]int32
+	its, seqs := itBuf[:m.nk], seqBuf[:m.nk]
 	copy(its, gn.it)
-	its[kw] = override
-	m.emitCombination(v, its)
+	copy(seqs, gn.seq)
+	its[kw], seqs[kw] = override, seq
+	m.emitCombination(v, its, seqs)
 }
 
 func (m *miSearch) maybeEmit(v graph.NodeID, gn *miGlobal) {
@@ -343,32 +386,24 @@ func (m *miSearch) maybeEmit(v graph.NodeID, gn *miGlobal) {
 		return
 	}
 	gn.lastEmitSum = sum
-	m.emitCombination(v, gn.it)
+	m.emitCombination(v, gn.it, gn.seq)
 }
 
 // emitCombination builds and buffers the answer rooted at v with keyword i
-// reached through iterator its[i]. Paths are rebuilt from the coordinator's
-// per-iterator predecessor maps, which hold exactly the settled nodes'
-// final next hops.
-func (m *miSearch) emitCombination(v graph.NodeID, its []int32) {
-	paths := make([][]graph.NodeID, m.nk)
+// reached through iterator its[i], which settled v as its seqs[i]-th node.
+// Paths are rebuilt from the coordinator's per-iterator settle chains,
+// which hold exactly the settled nodes' final next hops.
+func (m *miSearch) emitCombination(v graph.NodeID, its, seqs []int32) {
+	ps := &m.scr.paths
+	ps.reset()
 	for i := 0; i < m.nk; i++ {
-		idx := its[i]
-		preds := m.pred[idx]
-		path := []graph.NodeID{v}
-		cur := v
-		for cur != m.origin[idx] {
-			nxt, ok := preds[cur]
-			if !ok || nxt == graph.InvalidNode {
-				return // defensive: broken chain
-			}
-			path = append(path, nxt)
-			cur = nxt
+		chain := m.chains[its[i]]
+		for s := seqs[i]; s >= 0; s = chain[s].pred {
+			ps.add(chain[s].node)
 		}
-		paths[i] = path
+		ps.end()
 	}
-	kwBits := func(u graph.NodeID) uint32 { return m.bits[u] }
-	if a := buildAnswer(m.g, m.opts, v, paths, kwBits, m.nk); a != nil {
+	if a := buildAnswer(m.g, m.opts, v, ps.get(), m.scr.kwBits, m.nk); a != nil {
 		m.out.add(a)
 	}
 }
@@ -378,7 +413,8 @@ func (m *miSearch) emitCombination(v graph.NodeID, its []int32) {
 // the event-derived frontier heads (identical to peeking the live
 // frontiers in serial mode).
 func (m *miSearch) upperBound() (score, edge float64) {
-	mi := make([]float64, m.nk)
+	var buf [MaxKeywords]float64
+	mi := buf[:m.nk]
 	for i := range mi {
 		mi[i] = math.Inf(1)
 	}
@@ -401,4 +437,11 @@ func (m *miSearch) upperBound() (score, edge float64) {
 		return 0, math.Inf(1)
 	}
 	return scoreUpperBound(m.g, h, m.nk, m.opts.Lambda), h
+}
+
+// miLink is one settled node of an iterator's chain: the node and the
+// settle order of its next hop toward the origin (-1 at the origin).
+type miLink struct {
+	node graph.NodeID
+	pred int32
 }

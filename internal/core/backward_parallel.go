@@ -9,9 +9,11 @@ import (
 //
 // The per-keyword-node Dijkstra iterators of Backward search are
 // independent by construction (§3): an iterator's entire mutable state —
-// frontier, dist, next, depth, settled — is iterator-local, and the only
-// cross-iterator coupling is the global schedule (which iterator settles
-// next) and the answer emission it triggers. Parallel mode exploits that:
+// its frontier and its per-node records — is iterator-local (the node →
+// record lookup table is per worker, shared only by the iterators that
+// worker owns), and the only cross-iterator coupling is the global
+// schedule (which iterator settles next) and the answer emission it
+// triggers. Parallel mode exploits that:
 // worker goroutines run the iterators ahead speculatively, streaming settle
 // events through per-iterator bounded buffers, while the coordinator
 // (miSearch.run) consumes events in exactly the serial schedule order —
@@ -107,6 +109,7 @@ func (m *miSearch) runParallel(workers int) {
 		p.chans[i] = make(chan []miEvent, miBatchChans)
 	}
 	m.stats.WorkersUsed = workers
+	m.tabs = m.scr.tables(workers)
 	for w := 0; w < workers; w++ {
 		p.wake[w] = make(chan struct{}, 1)
 		p.wg.Add(1)
@@ -153,6 +156,8 @@ func (m *miSearch) produce(p *miParallel, w int) {
 		it   *miIterator
 		sent int64
 	}
+	// The worker's iterators share its own lookup table.
+	tab := m.tabs[w]
 	var owned []ownedIter
 	for idx := w; idx < len(m.iters); idx += p.nw {
 		owned = append(owned, ownedIter{idx: idx, it: m.iters[idx]})
@@ -174,7 +179,7 @@ func (m *miSearch) produce(p *miParallel, w int) {
 				exhausted := false
 				for len(batch) < p.batch {
 					var ev miEvent
-					if !o.it.advance(m.g, &m.opts, &ev) {
+					if !o.it.advance(m.g, &m.opts, tab, &ev) {
 						exhausted = true
 						break
 					}

@@ -29,14 +29,17 @@ func Bidirectional(ctx context.Context, g graph.View, keywords [][]graph.NodeID,
 		return nil, err
 	}
 	sc := newSearchContext(orBackground(ctx), g, keywords, opts)
+	defer sc.putScratch()
 	if anyEmptyKeyword(keywords) || sc.expired() {
 		return sc.finishResult(), nil
 	}
 
 	b := &bidirSearch{
 		searchContext: sc,
-		qin:           pqueue.NewMax[graph.NodeID](),
-		qout:          pqueue.NewMax[graph.NodeID](),
+		qin:           sc.scr.qmax,
+		qout:          sc.scr.qmax2,
+		activate:      sc.scr.workMax,
+		attach:        sc.scr.workMin,
 	}
 	b.workers = opts.Workers
 	defer func() {
@@ -254,7 +257,7 @@ func (b *bidirSearch) exploreEdge(u graph.NodeID, su *nodeState, v graph.NodeID,
 
 	// Record u as an explored parent of v (P_v): distance improvements at
 	// v must later propagate to u (§4.2.2).
-	sv.parents = append(sv.parents, parentEdge{node: u, w: w})
+	b.addParent(sv, u, w)
 
 	improvedDist := false
 	for i := 0; i < b.nk; i++ {
@@ -406,10 +409,9 @@ func (b *bidirSearch) attachPropagate(u graph.NodeID) {
 	for work.Len() > 0 {
 		v, _, _ := work.Pop()
 		sv := b.st(v)
-		if len(sv.parents) == 0 {
-			continue
-		}
-		for _, pe := range sv.parents {
+		for p := sv.firstParent; p != 0; {
+			pe := b.parent(p)
+			p = pe.next
 			sp, ok := b.peekState(pe.node)
 			if !ok {
 				continue
@@ -438,7 +440,8 @@ func (b *bidirSearch) attachPropagate(u graph.NodeID) {
 // bound additionally considers every seen node's partial distances
 // (Σᵢ min(dist_{u,i}, mᵢ)), NRA-style.
 func (b *bidirSearch) upperBound() (score, edge float64) {
-	m := make([]float64, b.nk)
+	var mbuf [MaxKeywords]float64
+	m := mbuf[:b.nk]
 	for i := range m {
 		m[i] = b.frontierMin(i)
 	}
@@ -457,7 +460,8 @@ func (b *bidirSearch) upperBound() (score, edge float64) {
 	}
 	if b.opts.StrictBound {
 		best := math.Inf(1)
-		for _, s := range b.state {
+		for _, u := range b.touched() {
+			s := b.state[u]
 			sum := 0.0
 			for i := 0; i < b.nk; i++ {
 				sum += math.Min(s.dist[i], m[i])

@@ -246,21 +246,26 @@ func chainGraph(t *testing.T, n int) (*graph.Graph, [][]graph.NodeID) {
 	return g, [][]graph.NodeID{{0}, {graph.NodeID(n - 1)}}
 }
 
+// The 200-node chain gives an answer tree larger than the stack buffers
+// buildAnswer starts from.
 func TestChainAnswerPathLength(t *testing.T) {
-	g, kw := chainGraph(t, 6)
-	for name, algo := range algorithms {
-		res, err := algo(g, kw, Options{K: 1, DMax: 10})
-		if err != nil {
-			t.Fatal(err)
+	for _, n := range []int{6, 200} {
+		g, kw := chainGraph(t, n)
+		opts := Options{K: 1, DMax: n + 4}
+		for name, algo := range algorithms {
+			res, err := algo(g, kw, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Answers) == 0 {
+				t.Fatalf("%s: no answer on chain", name)
+			}
+			a := res.Answers[0]
+			if a.Size() != n {
+				t.Fatalf("%s: chain answer has %d nodes, want %d: %v", name, a.Size(), n, a)
+			}
+			verifyAnswer(t, g, kw, a, opts.withDefaults())
 		}
-		if len(res.Answers) == 0 {
-			t.Fatalf("%s: no answer on chain", name)
-		}
-		a := res.Answers[0]
-		if a.Size() != 6 {
-			t.Fatalf("%s: chain answer has %d nodes, want 6: %v", name, a.Size(), a)
-		}
-		verifyAnswer(t, g, kw, a, Options{K: 1, DMax: 10}.withDefaults())
 	}
 }
 

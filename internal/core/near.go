@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"banks/internal/graph"
-	"banks/internal/pqueue"
 )
 
 // NearResult is one node of a near-query response, ranked by accumulated
@@ -47,11 +46,12 @@ func Near(ctx context.Context, g graph.View, keywords [][]graph.NodeID, opts Opt
 		return nil, Stats{}, err
 	}
 	sc := newSearchContext(orBackground(ctx), g, keywords, opts)
+	defer sc.putScratch()
 	if anyEmptyKeyword(keywords) || sc.expired() {
 		return nil, *sc.stats, nil
 	}
 
-	q := pqueue.NewMax[graph.NodeID]()
+	q := sc.scr.qmax
 	for i, si := range keywords {
 		sz := float64(len(si))
 		for _, u := range si {
@@ -118,7 +118,8 @@ func Near(ctx context.Context, g graph.View, keywords [][]graph.NodeID, opts Opt
 
 	// Rank reached nodes that accumulated activation from every keyword.
 	var out []NearResult
-	for u, s := range sc.state {
+	for _, u := range sc.touched() {
+		s := sc.state[u]
 		ok := true
 		for i := 0; i < sc.nk; i++ {
 			if s.act[i] <= 0 {

@@ -29,11 +29,14 @@ import (
 type outputHeap struct {
 	// heap orders buffered answers by release eligibility: overall score
 	// (max-heap) in strict mode, edge score (min-heap) in heuristic mode.
-	heap      *pqueue.Heap[*Answer]
+	// It is keyed by answer index: answers[i] is the i-th answer added.
+	heap      *pqueue.Heap[int32]
+	answers   []*Answer
 	heuristic bool
 
-	bySig  map[uint64]*Answer
-	byRoot map[graph.NodeID]*Answer
+	// bySig and byRoot index the buffered answers (by answer index).
+	bySig  map[uint64]int32
+	byRoot map[graph.NodeID]int32
 	// emittedSig / emittedRoot suppress re-emission of released trees and
 	// roots (an output cannot be retracted).
 	emittedSig  map[uint64]float64
@@ -51,15 +54,15 @@ type outputHeap struct {
 }
 
 func newOutputHeap(k int, heuristic bool, start time.Time, stats *Stats, emit func(EmittedAnswer)) *outputHeap {
-	h := pqueue.NewMax[*Answer]()
+	h := pqueue.NewMax[int32]()
 	if heuristic {
-		h = pqueue.NewMin[*Answer]()
+		h = pqueue.NewMin[int32]()
 	}
 	return &outputHeap{
 		heap:        h,
 		heuristic:   heuristic,
-		bySig:       make(map[uint64]*Answer),
-		byRoot:      make(map[graph.NodeID]*Answer),
+		bySig:       make(map[uint64]int32),
+		byRoot:      make(map[graph.NodeID]int32),
 		emittedSig:  make(map[uint64]float64),
 		emittedRoot: make(map[graph.NodeID]struct{}),
 		k:           k,
@@ -99,28 +102,34 @@ func (o *outputHeap) add(a *Answer) bool {
 		return false
 	}
 	if prev, ok := o.bySig[sig]; ok {
-		if prev.Score >= a.Score {
+		if o.answers[prev].Score >= a.Score {
 			return false
 		}
 		o.remove(prev)
 	}
 	if prev, ok := o.byRoot[a.Root]; ok {
-		if prev.Score >= a.Score {
+		if o.answers[prev].Score >= a.Score {
 			return false
 		}
 		o.remove(prev)
 	}
-	o.bySig[sig] = a
-	o.byRoot[a.Root] = a
-	o.heap.Push(a, o.key(a))
+	i := int32(len(o.answers))
+	o.answers = append(o.answers, a)
+	o.bySig[sig] = i
+	o.byRoot[a.Root] = i
+	o.heap.Push(i, o.key(a))
 	o.stats.AnswersGenerated++
 	return true
 }
 
-func (o *outputHeap) remove(a *Answer) {
-	o.heap.Remove(a)
+// remove drops buffered answer i and returns it.
+func (o *outputHeap) remove(i int32) *Answer {
+	a := o.answers[i]
+	o.answers[i] = nil
+	o.heap.Remove(i)
 	delete(o.bySig, a.Signature())
 	delete(o.byRoot, a.Root)
+	return a
 }
 
 // drain releases buffered answers per the active bound mode and returns
@@ -137,12 +146,11 @@ func (o *outputHeap) drain(scoreBound, edgeBound float64) bool {
 	if o.heuristic {
 		var eligible []*Answer
 		for len(o.out)+len(eligible) < o.k {
-			a, edge, ok := o.heap.Peek()
+			i, edge, ok := o.heap.Peek()
 			if !ok || edge >= edgeBound {
 				break
 			}
-			o.remove(a)
-			eligible = append(eligible, a)
+			eligible = append(eligible, o.remove(i))
 		}
 		sort.Slice(eligible, func(i, j int) bool { return eligible[i].Score > eligible[j].Score })
 		for _, a := range eligible {
@@ -151,12 +159,11 @@ func (o *outputHeap) drain(scoreBound, edgeBound float64) bool {
 		return len(o.out) >= o.k
 	}
 	for len(o.out) < o.k {
-		a, score, ok := o.heap.Peek()
+		i, score, ok := o.heap.Peek()
 		if !ok || score < scoreBound {
 			break
 		}
-		o.remove(a)
-		o.release(a)
+		o.release(o.remove(i))
 	}
 	return len(o.out) >= o.k
 }
@@ -167,13 +174,11 @@ func (o *outputHeap) drain(scoreBound, edgeBound float64) bool {
 func (o *outputHeap) flush() {
 	var rest []*Answer
 	for {
-		a, _, ok := o.heap.Pop()
+		i, _, ok := o.heap.Peek()
 		if !ok {
 			break
 		}
-		delete(o.bySig, a.Signature())
-		delete(o.byRoot, a.Root)
-		rest = append(rest, a)
+		rest = append(rest, o.remove(i))
 	}
 	sort.Slice(rest, func(i, j int) bool { return rest[i].Score > rest[j].Score })
 	for _, a := range rest {

@@ -31,13 +31,15 @@ func SIBackward(ctx context.Context, g graph.View, keywords [][]graph.NodeID, op
 		return nil, err
 	}
 	sc := newSearchContext(orBackground(ctx), g, keywords, opts)
+	defer sc.putScratch()
 	if anyEmptyKeyword(keywords) || sc.expired() {
 		return sc.finishResult(), nil
 	}
 
 	s := &siSearch{
 		searchContext: sc,
-		qin:           pqueue.NewMin[graph.NodeID](),
+		qin:           sc.scr.qmin,
+		attach:        sc.scr.workMin,
 	}
 	s.seed()
 	s.run()
@@ -131,7 +133,7 @@ func (s *siSearch) expand(v graph.NodeID) {
 		u := h.To
 		s.stats.EdgesRelaxed++
 		su := s.st(u)
-		sv.parents = append(sv.parents, parentEdge{node: u, w: h.WIn})
+		s.addParent(sv, u, h.WIn)
 		improved := false
 		for i := 0; i < s.nk; i++ {
 			if d := h.WIn + sv.dist[i]; d < su.dist[i]-1e-15 {
@@ -170,7 +172,9 @@ func (s *siSearch) attachPropagate(u graph.NodeID) {
 	for work.Len() > 0 {
 		v, _, _ := work.Pop()
 		sv := s.st(v)
-		for _, pe := range sv.parents {
+		for p := sv.firstParent; p != 0; {
+			pe := s.parent(p)
+			p = pe.next
 			sp, ok := s.peekState(pe.node)
 			if !ok {
 				continue
@@ -196,7 +200,8 @@ func (s *siSearch) attachPropagate(u graph.NodeID) {
 // upperBound mirrors the Bidirectional bound (§4.5) over the single
 // backward frontier.
 func (s *siSearch) upperBound() (score, edge float64) {
-	m := make([]float64, s.nk)
+	var mbuf [MaxKeywords]float64
+	m := mbuf[:s.nk]
 	for i := range m {
 		m[i] = s.frontierMin(i)
 	}
@@ -212,7 +217,8 @@ func (s *siSearch) upperBound() (score, edge float64) {
 	}
 	if s.opts.StrictBound {
 		best := math.Inf(1)
-		for _, st := range s.state {
+		for _, u := range s.touched() {
+			st := s.state[u]
 			sum := 0.0
 			for i := 0; i < s.nk; i++ {
 				sum += math.Min(st.dist[i], m[i])

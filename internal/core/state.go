@@ -11,9 +11,13 @@ import (
 )
 
 // parentEdge is one entry of an explored-parents list P_u: the parent
-// node and the combined-graph weight of the edge parent→u.
+// node and the combined-graph weight of the edge parent→u. The lists of
+// all nodes share one slice (scratch.parents), each chained in insertion
+// order through next: the index of the following entry plus one, 0 at
+// the end.
 type parentEdge struct {
 	node graph.NodeID
+	next int32
 	w    float64
 }
 
@@ -38,11 +42,12 @@ type nodeState struct {
 	inXin  bool
 	inXout bool
 
-	// parents is P_u: nodes w that explored an edge (w,u), with the
+	// firstParent/lastParent chain P_u (index into scratch.parents plus
+	// one, 0 when empty): nodes w that explored an edge (w,u), with the
 	// combined edge weight w(w→u) captured at exploration time so Attach
 	// propagation needs no adjacency rescan. Distance improvements at u
 	// propagate to them (Attach, Figure 3).
-	parents []parentEdge
+	firstParent, lastParent int32
 
 	// lastEmitSum is Σᵢ dist at the last emission (or candidate update)
 	// for this node as root; re-emission is attempted only when the sum
@@ -119,12 +124,15 @@ func (c *canceller) cancelled() bool {
 type searchContext struct {
 	canceller
 
-	g     graph.View
-	opts  Options
-	nk    int
-	kw    [][]graph.NodeID
-	bits  map[graph.NodeID]uint32 // keyword-match bitmask per matching node
-	state map[graph.NodeID]*nodeState
+	g    graph.View
+	opts Options
+	nk   int
+	kw   [][]graph.NodeID
+	// scr is the pooled scratch; bits and state are its dense arrays,
+	// indexed by NodeID (keyword-match bitmask, per-node record or nil).
+	scr   *scratch
+	bits  []uint32
+	state []*nodeState
 	out   *outputHeap
 	stats *Stats
 	start time.Time
@@ -165,60 +173,62 @@ type pendingEmit struct {
 func newSearchContext(ctx context.Context, g graph.View, keywords [][]graph.NodeID, opts Options) *searchContext {
 	start := time.Now()
 	stats := &Stats{}
+	scr := getScratch(g.NumNodes(), keywords)
 	sc := &searchContext{
-		canceller: newCanceller(ctx, stats),
-		g:         g,
-		opts:      opts,
-		nk:        len(keywords),
-		kw:        keywords,
-		bits:      make(map[graph.NodeID]uint32),
-		state:     make(map[graph.NodeID]*nodeState),
-		out:       newOutputHeap(opts.K, !opts.StrictBound, start, stats, opts.Emit),
-		stats:     stats,
-		start:     start,
-		cands:     pqueue.NewMin[graph.NodeID](),
-		lazy:      !opts.StrictBound,
-	}
-	sc.boundHeaps = make([]*pqueue.Heap[graph.NodeID], sc.nk)
-	for i := range sc.boundHeaps {
-		sc.boundHeaps[i] = pqueue.NewMin[graph.NodeID]()
-	}
-	for i, s := range keywords {
-		for _, u := range s {
-			sc.bits[u] |= 1 << i
-		}
+		canceller:  newCanceller(ctx, stats),
+		g:          g,
+		opts:       opts,
+		nk:         len(keywords),
+		kw:         keywords,
+		scr:        scr,
+		bits:       scr.bits,
+		state:      scr.state,
+		out:        newOutputHeap(opts.K, !opts.StrictBound, start, stats, opts.Emit),
+		stats:      stats,
+		start:      start,
+		cands:      scr.cands,
+		lazy:       !opts.StrictBound,
+		boundHeaps: scr.bound[:len(keywords)],
+		dirtyEmits: scr.dirty,
 	}
 	return sc
+}
+
+// putScratch hands the scratch back to the pool, once; the context must
+// not be used afterwards. finishResult calls it, so that resetting the
+// scratch counts in Stats.Duration, and every search defers it too, for
+// the exit paths that finish no result.
+func (sc *searchContext) putScratch() {
+	if sc.scr == nil {
+		return
+	}
+	sc.scr.dirty = sc.dirtyEmits // keep the grown buffer
+	sc.scr.put()
+	sc.scr, sc.bits, sc.state = nil, nil, nil
 }
 
 // tick refreshes the cached clock; called once per node expansion.
 func (sc *searchContext) tick() { sc.now = time.Since(sc.start) }
 
-// seedNodes returns the keyword-matching nodes in ascending NodeID order.
-// Frontiers must be seeded in deterministic order: map iteration order
-// would otherwise leak into heap tie-breaking and make equal-score answer
-// orderings vary run to run, which the golden regression tests and the
-// concurrent-vs-serial equivalence tests forbid.
-func (sc *searchContext) seedNodes() []graph.NodeID {
-	nodes := make([]graph.NodeID, 0, len(sc.bits))
-	for u := range sc.bits {
-		nodes = append(nodes, u)
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-	return nodes
-}
+// seedNodes returns the keyword-matching nodes in ascending NodeID order,
+// without repeats. Frontiers must be seeded in deterministic order: any
+// other order would leak into heap tie-breaking and make equal-score
+// answer orderings vary run to run, which the golden regression tests and
+// the concurrent-vs-serial equivalence tests forbid.
+func (sc *searchContext) seedNodes() []graph.NodeID { return sc.scr.seeds }
 
 // kwBits returns the keyword bitmask of node u.
 func (sc *searchContext) kwBits(u graph.NodeID) uint32 { return sc.bits[u] }
 
 // st returns (creating if needed) the state of node u.
 func (sc *searchContext) st(u graph.NodeID) *nodeState {
-	s, ok := sc.state[u]
-	if !ok {
-		s = &nodeState{
-			dist:        make([]float64, sc.nk),
-			sp:          make([]graph.NodeID, sc.nk),
-			act:         make([]float64, sc.nk),
+	s := sc.state[u]
+	if s == nil {
+		s = &sc.scr.recs.take(1)[0]
+		*s = nodeState{
+			dist:        sc.scr.floats.take(sc.nk),
+			sp:          sc.scr.nodes.take(sc.nk),
+			act:         sc.scr.floats.take(sc.nk),
 			depth:       -1,
 			lastEmitSum: math.Inf(1),
 			invIn:       -1,
@@ -227,7 +237,9 @@ func (sc *searchContext) st(u graph.NodeID) *nodeState {
 		for i := 0; i < sc.nk; i++ {
 			s.dist[i] = math.Inf(1)
 			s.sp[i] = graph.InvalidNode
+			s.act[i] = 0
 		}
+		sc.scr.touched = append(sc.scr.touched, u)
 		if b := sc.bits[u]; b != 0 {
 			for i := 0; i < sc.nk; i++ {
 				if b&(1<<i) != 0 {
@@ -251,9 +263,28 @@ func (sc *searchContext) st(u graph.NodeID) *nodeState {
 
 // peekState returns the state of u without creating it.
 func (sc *searchContext) peekState(u graph.NodeID) (*nodeState, bool) {
-	s, ok := sc.state[u]
-	return s, ok
+	s := sc.state[u]
+	return s, s != nil
 }
+
+// addParent appends u, reached over a combined edge u→v of weight w, to
+// v's explored-parents list P_v.
+func (sc *searchContext) addParent(sv *nodeState, u graph.NodeID, w float64) {
+	sc.scr.parents = append(sc.scr.parents, parentEdge{node: u, w: w})
+	i := int32(len(sc.scr.parents))
+	if sv.lastParent == 0 {
+		sv.firstParent = i
+	} else {
+		sc.scr.parents[sv.lastParent-1].next = i
+	}
+	sv.lastParent = i
+}
+
+// parent returns entry p (an index plus one) of the shared parent lists.
+func (sc *searchContext) parent(p int32) parentEdge { return sc.scr.parents[p-1] }
+
+// touched lists the nodes that have state, in creation order.
+func (sc *searchContext) touched() []graph.NodeID { return sc.scr.touched }
 
 // noteDist records a distance relaxation with the bound tracker. Call
 // after updating s.dist[i] for a node that has not been backward-expanded.
@@ -272,7 +303,7 @@ func (sc *searchContext) frontierMin(i int) float64 {
 		if !ok {
 			return math.Inf(1)
 		}
-		if s, exists := sc.state[u]; exists && s.inXin {
+		if s := sc.state[u]; s != nil && s.inXin {
 			h.Pop()
 			continue
 		}
@@ -352,13 +383,9 @@ func (sc *searchContext) buildFor(u graph.NodeID) *Answer {
 	if !ok {
 		return nil
 	}
-	paths := make([][]graph.NodeID, sc.nk)
-	for i := 0; i < sc.nk; i++ {
-		p := sc.followSP(u, i)
-		if p == nil {
-			return nil
-		}
-		paths[i] = p
+	paths := sc.rootPaths(u)
+	if paths == nil {
+		return nil
 	}
 	a := buildAnswer(sc.g, sc.opts, u, paths, sc.kwBits, sc.nk)
 	if a == nil {
@@ -433,18 +460,9 @@ func (sc *searchContext) flushEmits() {
 		}
 		s.lastEmitSum = sum
 
-		paths := make([][]graph.NodeID, sc.nk)
-		valid := true
-		for i := 0; i < sc.nk; i++ {
-			p := sc.followSP(pe.node, i)
-			if p == nil {
-				valid = false // inconsistent pointers; skip defensively
-				break
-			}
-			paths[i] = p
-		}
-		if !valid {
-			continue
+		paths := sc.rootPaths(pe.node)
+		if paths == nil {
+			continue // inconsistent pointers; skip defensively
 		}
 		if a := buildAnswer(sc.g, sc.opts, pe.node, paths, sc.kwBits, sc.nk); a != nil {
 			a.GeneratedAt = pe.at
@@ -456,28 +474,43 @@ func (sc *searchContext) flushEmits() {
 	sc.dirtyEmits = sc.dirtyEmits[:0]
 }
 
-// followSP follows sp pointers from u toward keyword i, returning the node
-// sequence u..keyword-node. Distances strictly decrease along sp edges, so
-// the walk terminates; a nil return signals corrupted state.
-func (sc *searchContext) followSP(u graph.NodeID, i int) []graph.NodeID {
-	path := []graph.NodeID{u}
+// rootPaths returns, per keyword, the node sequence u..keyword-node found
+// by following sp pointers, in the scratch's reused path storage (valid
+// until the next call). A nil return signals corrupted state.
+func (sc *searchContext) rootPaths(u graph.NodeID) [][]graph.NodeID {
+	ps := &sc.scr.paths
+	ps.reset()
+	for i := 0; i < sc.nk; i++ {
+		if !sc.followSP(ps, u, i) {
+			return nil
+		}
+	}
+	return ps.get()
+}
+
+// followSP follows sp pointers from u toward keyword i, adding the node
+// sequence u..keyword-node to ps as one path. Distances strictly decrease
+// along sp edges, so the walk terminates; false signals corrupted state.
+func (sc *searchContext) followSP(ps *pathSet, u graph.NodeID, i int) bool {
+	ps.add(u)
 	cur := u
 	for hops := 0; hops <= 4*sc.opts.DMax+8; hops++ {
 		s, ok := sc.peekState(cur)
 		if !ok {
-			return nil
+			return false
 		}
 		if s.dist[i] == 0 {
-			return path
+			ps.end()
+			return true
 		}
 		next := s.sp[i]
 		if next == graph.InvalidNode {
-			return nil
+			return false
 		}
-		path = append(path, next)
+		ps.add(next)
 		cur = next
 	}
-	return nil
+	return false
 }
 
 // invSumIn returns Σ 1/w over allowed incoming combined edges of v,
@@ -545,7 +578,8 @@ func anyEmptyKeyword(keywords [][]graph.NodeID) bool {
 	return false
 }
 
-// finishResult stamps duration and packages the result.
+// finishResult packages the result, returns the scratch and stamps the
+// duration.
 func (sc *searchContext) finishResult() *Result {
 	if sc.lazy {
 		if !sc.out.full() {
@@ -555,6 +589,8 @@ func (sc *searchContext) finishResult() *Result {
 		sc.flushEmits()
 		sc.out.flush()
 	}
+	answers := sc.out.results()
+	sc.putScratch()
 	sc.stats.Duration = time.Since(sc.start)
-	return &Result{Answers: sc.out.results(), Stats: *sc.stats}
+	return &Result{Answers: answers, Stats: *sc.stats}
 }

@@ -1,6 +1,8 @@
 // Package engine layers a concurrent query-serving runtime over the core
 // search algorithms: a bounded worker pool, per-query deadlines, an LRU
 // result cache, and a batch API that fans M queries out across W workers.
+// Concurrent misses on one cache key run one search between them
+// (single-flight), so the cache holds the one result every caller got.
 //
 // Queries may also request intra-query parallelism (core.Options.Workers);
 // the engine grants those workers opportunistically out of the same pool
@@ -132,6 +134,10 @@ type Engine struct {
 
 	cache        *lruCache // nil when caching is disabled
 	hits, misses atomic.Uint64
+	// flights holds the searches running for cacheable keys, so that
+	// concurrent identical misses run one search (see join).
+	flightMu sync.Mutex
+	flights  map[cacheKey]*flight
 
 	// Cumulative activity counters for serving introspection (/statusz).
 	searches  atomic.Uint64
@@ -227,6 +233,7 @@ func New(g *graph.Graph, ix *index.Index, opts Options) (*Engine, error) {
 		workers: w,
 		timeout: opts.DefaultTimeout,
 		sem:     make(chan struct{}, w),
+		flights: make(map[cacheKey]*flight),
 	}
 	e.src.Store(src)
 	switch {
@@ -336,7 +343,6 @@ func (e *Engine) Search(ctx context.Context, q Query) (*core.Result, error) {
 				e.hits.Add(1)
 				return res, nil
 			}
-			e.misses.Add(1)
 		}
 	}
 
@@ -347,6 +353,25 @@ func (e *Engine) Search(ctx context.Context, q Query) (*core.Result, error) {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, e.timeout)
 		defer cancel()
+	}
+	// A miss either shares the result of an identical search already
+	// running (waiting counts as queue time, like the slot wait) or leads
+	// a new one. The leader lands its flight on every exit path.
+	var (
+		lead   *flight
+		landed *core.Result
+	)
+	if cacheable {
+		res, f, err := e.join(ctx, key)
+		if err != nil {
+			e.errored.Add(1)
+			return nil, err
+		}
+		if res != nil {
+			return res, nil
+		}
+		lead = f
+		defer func() { e.land(lead, key, landed) }()
 	}
 	select {
 	case e.sem <- struct{}{}:
@@ -416,12 +441,75 @@ func (e *Engine) Search(ctx context.Context, q Query) (*core.Result, error) {
 		e.truncated.Add(1)
 	}
 	// Truncated results are deadline artifacts of this one call, not the
-	// query's answer; caching them would serve partial answers to callers
-	// with generous deadlines.
+	// query's answer; caching them (or sharing them with waiters) would
+	// serve partial answers to callers with generous deadlines.
 	if cacheable && !res.Stats.Truncated {
-		e.cache.put(key, res)
+		landed = res
 	}
 	return res, nil
+}
+
+// flight is one search running for a cacheable key. Identical misses that
+// arrive while it runs wait for it instead of running their own.
+type flight struct {
+	done chan struct{}
+	// key is the cache key the flight is registered under.
+	key cacheKey
+	// res is the complete result, or nil when the search failed or was
+	// truncated. Written before done closes.
+	res *core.Result
+}
+
+// join resolves a cache miss for key. It returns the cached result if one
+// has appeared; else it waits for an identical search in flight and
+// returns its result; else it registers a new flight and returns it, and
+// the caller must run the search and land the flight. A waiter whose
+// leader ends without a complete result tries again (and may lead). A
+// context that ends while waiting returns its error.
+func (e *Engine) join(ctx context.Context, key cacheKey) (*core.Result, *flight, error) {
+	for {
+		e.flightMu.Lock()
+		// Re-probe under the lock: a leader puts its result in the cache
+		// before it removes its flight, both under this lock, so a caller
+		// that finds no flight cannot miss the result it just published.
+		if res, ok := e.cache.get(key); ok {
+			e.flightMu.Unlock()
+			e.hits.Add(1)
+			return res, nil, nil
+		}
+		f, running := e.flights[key]
+		if !running {
+			f = &flight{done: make(chan struct{}), key: key}
+			e.flights[key] = f
+			e.flightMu.Unlock()
+			e.misses.Add(1)
+			return nil, f, nil
+		}
+		e.flightMu.Unlock()
+		select {
+		case <-f.done:
+			if f.res != nil {
+				e.hits.Add(1)
+				return f.res, nil, nil
+			}
+		case <-ctx.Done():
+			return nil, nil, ctx.Err()
+		}
+	}
+}
+
+// land ends a flight: a complete result (res non-nil) is cached under key
+// — the key of the source that actually ran, which differs from the
+// flight's if a swap landed in between — and handed to the waiters.
+func (e *Engine) land(f *flight, key cacheKey, res *core.Result) {
+	e.flightMu.Lock()
+	if res != nil {
+		e.cache.put(key, res)
+	}
+	delete(e.flights, f.key)
+	e.flightMu.Unlock()
+	f.res = res
+	close(f.done)
 }
 
 // Near runs a near query (activation-ranked nodes) through the pool with

@@ -369,3 +369,58 @@ func TestWorkersUsable(t *testing.T) {
 		}
 	}
 }
+
+// TestSingleFlight fires identical cacheable queries at once, half through
+// Search and half through SearchStream: exactly one search may run (one
+// miss), and every caller must get that search's answers.
+func TestSingleFlight(t *testing.T) {
+	g, ix := testGraph(t, 512)
+	e, err := New(g, ix, Options{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := Query{Terms: []string{"alpha", "omega"}, Algo: core.AlgoBidirectional, Opts: core.Options{DMax: 1024}}
+	const callers = 8
+	answers := make([][]*core.Answer, callers)
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			if i%2 == 0 {
+				res, err := e.Search(context.Background(), q)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				answers[i] = res.Answers
+				return
+			}
+			st, err := e.SearchStream(context.Background(), q, StreamOptions{})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for ev := range st.Answers() {
+				answers[i] = append(answers[i], ev.Answer)
+			}
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	if _, misses := e.CacheStats(); misses != 1 {
+		t.Fatalf("%d searches ran for one key, want 1", misses)
+	}
+	for i := 1; i < callers; i++ {
+		if len(answers[i]) != len(answers[0]) || len(answers[0]) == 0 {
+			t.Fatalf("caller %d got %d answers, caller 0 got %d", i, len(answers[i]), len(answers[0]))
+		}
+		for j := range answers[i] {
+			if answers[i][j] != answers[0][j] {
+				t.Fatalf("caller %d answer %d is not the shared search's", i, j)
+			}
+		}
+	}
+}

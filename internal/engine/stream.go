@@ -156,7 +156,6 @@ func (e *Engine) SearchStream(ctx context.Context, q Query, so StreamOptions) (*
 				go st.replay(ctx, res)
 				return st, nil
 			}
-			e.misses.Add(1)
 		}
 	}
 
@@ -166,11 +165,31 @@ func (e *Engine) SearchStream(ctx context.Context, q Query, so StreamOptions) (*
 	if e.timeout > 0 {
 		runCtx, cancel = context.WithTimeout(ctx, e.timeout)
 	}
+	// Single flight, as in Search: a stream that joins an identical search
+	// replays its result once complete, like a cache hit.
+	var lead *flight
+	if cacheable {
+		res, f, err := e.join(runCtx, key)
+		if err != nil {
+			cancel()
+			e.errored.Add(1)
+			return nil, err
+		}
+		if res != nil {
+			cancel()
+			go st.replay(ctx, res)
+			return st, nil
+		}
+		lead = f
+	}
 	select {
 	case e.sem <- struct{}{}:
 	case <-runCtx.Done():
 		err := runCtx.Err()
 		cancel()
+		if lead != nil {
+			e.land(lead, key, nil)
+		}
 		e.errored.Add(1)
 		return nil, err
 	}
@@ -203,7 +222,7 @@ func (e *Engine) SearchStream(ctx context.Context, q Query, so StreamOptions) (*
 	}
 	q.Opts.Workers = granted
 
-	go e.runStream(runCtx, cancel, st, src, q, kw, so, key, cacheable, granted)
+	go e.runStream(runCtx, cancel, st, src, q, kw, so, key, lead, granted)
 	return st, nil
 }
 
@@ -219,9 +238,10 @@ func knownAlgo(a core.Algo) bool {
 }
 
 // runStream executes the search on its own goroutine, feeding the stream
-// through the core Emit seam.
+// through the core Emit seam. lead is the stream's flight (nil when the
+// query is not cacheable), landed as soon as the search ends.
 func (e *Engine) runStream(ctx context.Context, cancel context.CancelFunc, st *Stream,
-	src *Source, q Query, kw [][]graph.NodeID, so StreamOptions, key cacheKey, cacheable bool, granted int) {
+	src *Source, q Query, kw [][]graph.NodeID, so StreamOptions, key cacheKey, lead *flight, granted int) {
 	defer cancel()
 
 	// sent and degraded are touched only by the Emit callback and the
@@ -260,6 +280,17 @@ func (e *Engine) runStream(ctx context.Context, cancel context.CancelFunc, st *S
 	for i := 0; i <= granted; i++ {
 		<-e.sem
 	}
+	// Land the flight before tail delivery too, so waiters do not wait on
+	// this consumer. The cache policy matches Search: complete results
+	// only. A delivery cut does not poison the result — the search itself
+	// was complete.
+	if lead != nil {
+		var landed *core.Result
+		if err == nil && !res.Stats.Truncated {
+			landed = res
+		}
+		e.land(lead, key, landed)
+	}
 
 	if err != nil {
 		// Unreachable in practice — SearchStream validated the query —
@@ -280,11 +311,6 @@ func (e *Engine) runStream(ctx context.Context, cancel context.CancelFunc, st *S
 
 	if res.Stats.Truncated {
 		e.truncated.Add(1)
-	}
-	// The cache policy matches Search: complete results only. A delivery
-	// cut does not poison the result — the search itself was complete.
-	if cacheable && !res.Stats.Truncated {
-		e.cache.put(key, res)
 	}
 	st.finish(StreamTrailer{
 		Stats:     res.Stats,
