@@ -74,6 +74,19 @@ func (e *Engine) Search(ctx context.Context, query string, algo Algorithm, opts 
 	return e.e.Search(ctx, engine.Query{Terms: Keywords(query), Algo: algo, Opts: opts})
 }
 
+// Memo is a result-cache entry's slot for a serving layer's encoded form
+// of the cached result: filled on the entry's first hit, reused by every
+// later one, and dropped with the entry when it is evicted or replaced.
+type Memo = engine.Memo
+
+// SearchMemo is Search that also returns the cache entry's Memo when the
+// result came from the result cache, or from an identical search the
+// query waited for (nil on a miss and with caching off). banksd keeps
+// each cached result's encoded answers there.
+func (e *Engine) SearchMemo(ctx context.Context, query string, algo Algorithm, opts Options) (*Result, *Memo, error) {
+	return e.e.SearchMemo(ctx, engine.Query{Terms: Keywords(query), Algo: algo, Opts: opts})
+}
+
 // Near runs a near query (activation-ranked nodes) through the pool.
 func (e *Engine) Near(ctx context.Context, query string, opts Options) ([]NearResult, Stats, error) {
 	return e.e.Near(ctx, Keywords(query), opts)
@@ -116,11 +129,18 @@ func (e *Engine) SearchStream(ctx context.Context, query string, algo Algorithm,
 // of them; results[i] and errs[i] correspond to queries[i], and one failing
 // query never affects its siblings.
 func (e *Engine) SearchBatch(ctx context.Context, queries []BatchQuery) (results []*Result, errs []error) {
+	results, _, errs = e.SearchBatchMemo(ctx, queries)
+	return results, errs
+}
+
+// SearchBatchMemo is SearchBatch that also returns each result's cache
+// memo, as SearchMemo does.
+func (e *Engine) SearchBatchMemo(ctx context.Context, queries []BatchQuery) (results []*Result, memos []*Memo, errs []error) {
 	qs := make([]engine.Query, len(queries))
 	for i, q := range queries {
 		qs[i] = engine.Query{Terms: Keywords(q.Query), Algo: q.Algo, Opts: q.Opts}
 	}
-	return e.e.SearchBatch(ctx, qs)
+	return e.e.SearchBatchMemo(ctx, qs)
 }
 
 // CacheStats reports cumulative result-cache hits and misses.

@@ -1,6 +1,7 @@
 // Package api defines the v1 wire contract shared by every HTTP surface
 // of the system (internal/server and internal/router): the error
-// envelope and the registry of machine-readable error codes.
+// envelope, the registry of machine-readable error codes, and the
+// assembly of search bodies from already-encoded answers (body.go).
 //
 // Before this package, each call site minted its own code string and the
 // envelope shape had drifted between the shard server and the router.

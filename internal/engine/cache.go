@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"banks/internal/core"
 )
@@ -69,8 +70,41 @@ type lruCache struct {
 }
 
 type cacheEntry struct {
-	key cacheKey
-	res *core.Result
+	key  cacheKey
+	res  *core.Result
+	memo Memo
+}
+
+// Memo is a cache entry's slot for a serving layer's encoded form of the
+// entry's result: the answers rendered once, on the entry's first hit,
+// and reused by every later hit. It lives and dies with the entry — an
+// evicted or replaced entry takes its memo with it — so encodings cost
+// memory only while their result is cached, and only for results that
+// were asked for twice.
+type Memo struct {
+	answers atomic.Pointer[[][]byte]
+}
+
+// Answers returns the memoized encoded answers: nil until Store, and on
+// a nil Memo.
+func (m *Memo) Answers() [][]byte {
+	if m == nil {
+		return nil
+	}
+	if p := m.answers.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// Store memoizes the encoded answers unless a concurrent hit stored
+// first, and returns the memoized ones. The slices must not be modified
+// afterwards.
+func (m *Memo) Store(answers [][]byte) [][]byte {
+	if m.answers.CompareAndSwap(nil, &answers) {
+		return answers
+	}
+	return *m.answers.Load()
 }
 
 func newLRUCache(capacity int) *lruCache {
@@ -81,7 +115,7 @@ func newLRUCache(capacity int) *lruCache {
 	}
 }
 
-func (c *lruCache) get(key cacheKey) (*core.Result, bool) {
+func (c *lruCache) get(key cacheKey) (*cacheEntry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.byKey[key]
@@ -89,14 +123,15 @@ func (c *lruCache) get(key cacheKey) (*core.Result, bool) {
 		return nil, false
 	}
 	c.order.MoveToFront(el)
-	return el.Value.(*cacheEntry).res, true
+	return el.Value.(*cacheEntry), true
 }
 
 func (c *lruCache) put(key cacheKey, res *core.Result) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.byKey[key]; ok {
-		el.Value.(*cacheEntry).res = res
+		// A fresh entry, so the old result's memo goes with it.
+		el.Value = &cacheEntry{key: key, res: res}
 		c.order.MoveToFront(el)
 		return
 	}

@@ -322,12 +322,23 @@ func normalizeTerms(terms []string) []string {
 // The returned result may be shared with other callers via the cache and
 // must not be modified.
 func (e *Engine) Search(ctx context.Context, q Query) (*core.Result, error) {
+	res, _, err := e.SearchMemo(ctx, q)
+	return res, err
+}
+
+// SearchMemo is Search that also returns, when the result came from the
+// result cache, the cache entry's Memo — the slot where a serving layer
+// keeps the result's encoding for later hits. A query that waited for an
+// identical search in flight counts as a hit too. The memo is nil on a
+// miss and when caching is off: a result nobody asked for twice is never
+// memoized.
+func (e *Engine) SearchMemo(ctx context.Context, q Query) (*core.Result, *Memo, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	terms := normalizeTerms(q.Terms)
 	if len(terms) == 0 {
-		return nil, errors.New("engine: query contains no keywords")
+		return nil, nil, errors.New("engine: query contains no keywords")
 	}
 	e.searches.Add(1)
 
@@ -339,9 +350,9 @@ func (e *Engine) Search(ctx context.Context, q Query) (*core.Result, error) {
 	key, cacheable := cacheKey{}, false
 	if e.cache != nil {
 		if key, cacheable = newCacheKey(src, terms, q.Algo, q.Opts); cacheable {
-			if res, ok := e.cache.get(key); ok {
+			if ent, ok := e.cache.get(key); ok {
 				e.hits.Add(1)
-				return res, nil
+				return ent.res, &ent.memo, nil
 			}
 		}
 	}
@@ -362,13 +373,13 @@ func (e *Engine) Search(ctx context.Context, q Query) (*core.Result, error) {
 		landed *core.Result
 	)
 	if cacheable {
-		res, f, err := e.join(ctx, key)
+		res, memo, f, err := e.join(ctx, key)
 		if err != nil {
 			e.errored.Add(1)
-			return nil, err
+			return nil, nil, err
 		}
 		if res != nil {
-			return res, nil
+			return res, memo, nil
 		}
 		lead = f
 		defer func() { e.land(lead, key, landed) }()
@@ -378,7 +389,7 @@ func (e *Engine) Search(ctx context.Context, q Query) (*core.Result, error) {
 		defer func() { <-e.sem }()
 	case <-ctx.Done():
 		e.errored.Add(1)
-		return nil, ctx.Err()
+		return nil, nil, ctx.Err()
 	}
 
 	// Re-resolve the source now that a slot is held: binding the source
@@ -435,7 +446,7 @@ func (e *Engine) Search(ctx context.Context, q Query) (*core.Result, error) {
 	res, err := core.Search(ctx, src.graph, q.Algo, kw, q.Opts)
 	if err != nil {
 		e.errored.Add(1)
-		return nil, err
+		return nil, nil, err
 	}
 	if res.Stats.Truncated {
 		e.truncated.Add(1)
@@ -446,7 +457,7 @@ func (e *Engine) Search(ctx context.Context, q Query) (*core.Result, error) {
 	if cacheable && !res.Stats.Truncated {
 		landed = res
 	}
-	return res, nil
+	return res, nil, nil
 }
 
 // flight is one search running for a cacheable key. Identical misses that
@@ -460,22 +471,23 @@ type flight struct {
 	res *core.Result
 }
 
-// join resolves a cache miss for key. It returns the cached result if one
-// has appeared; else it waits for an identical search in flight and
-// returns its result; else it registers a new flight and returns it, and
-// the caller must run the search and land the flight. A waiter whose
-// leader ends without a complete result tries again (and may lead). A
-// context that ends while waiting returns its error.
-func (e *Engine) join(ctx context.Context, key cacheKey) (*core.Result, *flight, error) {
+// join resolves a cache miss for key. It returns the cached result (and
+// its entry's memo) if one has appeared; else it waits for an identical
+// search in flight and returns its result (and memo); else it registers
+// a new flight and returns it, and the caller must run the search and
+// land the flight. A waiter whose leader ends without a complete result
+// tries again (and may lead). A context that ends while waiting returns
+// its error.
+func (e *Engine) join(ctx context.Context, key cacheKey) (*core.Result, *Memo, *flight, error) {
 	for {
 		e.flightMu.Lock()
 		// Re-probe under the lock: a leader puts its result in the cache
 		// before it removes its flight, both under this lock, so a caller
 		// that finds no flight cannot miss the result it just published.
-		if res, ok := e.cache.get(key); ok {
+		if ent, ok := e.cache.get(key); ok {
 			e.flightMu.Unlock()
 			e.hits.Add(1)
-			return res, nil, nil
+			return ent.res, &ent.memo, nil, nil
 		}
 		f, running := e.flights[key]
 		if !running {
@@ -483,17 +495,23 @@ func (e *Engine) join(ctx context.Context, key cacheKey) (*core.Result, *flight,
 			e.flights[key] = f
 			e.flightMu.Unlock()
 			e.misses.Add(1)
-			return nil, f, nil
+			return nil, nil, f, nil
 		}
 		e.flightMu.Unlock()
 		select {
 		case <-f.done:
 			if f.res != nil {
 				e.hits.Add(1)
-				return f.res, nil, nil
+				// The leader cached the result before closing done; its
+				// entry (unless already evicted) holds the memo.
+				var memo *Memo
+				if ent, ok := e.cache.get(key); ok && ent.res == f.res {
+					memo = &ent.memo
+				}
+				return f.res, memo, nil, nil
 			}
 		case <-ctx.Done():
-			return nil, nil, ctx.Err()
+			return nil, nil, nil, ctx.Err()
 		}
 	}
 }
@@ -556,13 +574,21 @@ func (e *Engine) Near(ctx context.Context, terms []string, opts core.Options) ([
 // Cancelling ctx aborts queries still running (they return truncated
 // results) and fails queries still waiting for a worker.
 func (e *Engine) SearchBatch(ctx context.Context, qs []Query) (results []*core.Result, errs []error) {
+	results, _, errs = e.SearchBatchMemo(ctx, qs)
+	return results, errs
+}
+
+// SearchBatchMemo is SearchBatch that also returns each result's cache
+// memo, as SearchMemo does (memos[i] nil unless results[i] was a hit).
+func (e *Engine) SearchBatchMemo(ctx context.Context, qs []Query) (results []*core.Result, memos []*Memo, errs []error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	results = make([]*core.Result, len(qs))
+	memos = make([]*Memo, len(qs))
 	errs = make([]error, len(qs))
 	if len(qs) == 0 {
-		return results, errs
+		return results, memos, errs
 	}
 	// One dispatcher goroutine per pool slot (not per query): M may be much
 	// larger than W, and each Search also acquires a pool slot, so more
@@ -578,7 +604,7 @@ func (e *Engine) SearchBatch(ctx context.Context, qs []Query) (results []*core.R
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				results[i], errs[i] = e.Search(ctx, qs[i])
+				results[i], memos[i], errs[i] = e.SearchMemo(ctx, qs[i])
 			}
 		}()
 	}
@@ -587,7 +613,7 @@ func (e *Engine) SearchBatch(ctx context.Context, qs []Query) (results []*core.R
 	}
 	close(next)
 	wg.Wait()
-	return results, errs
+	return results, memos, errs
 }
 
 // CacheStats reports cumulative cache hits and misses (both zero when

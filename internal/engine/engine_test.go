@@ -424,3 +424,106 @@ func TestSingleFlight(t *testing.T) {
 		}
 	}
 }
+
+// TestMemoLifecycle: a miss returns no memo; hits through Search,
+// SearchStream and SearchBatch share their entry's one memo, whose first
+// Store wins; an evicted entry's memo goes with it, and a disabled cache
+// hands out none.
+func TestMemoLifecycle(t *testing.T) {
+	g, ix := testGraph(t, 16)
+	e, err := New(g, ix, Options{CacheSize: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := Query{Terms: []string{"alpha", "omega"}, Algo: core.AlgoSIBackward, Opts: core.Options{K: 2}}
+	other := Query{Terms: []string{"alpha", "mid"}, Algo: core.AlgoSIBackward}
+	res, memo, err := e.SearchMemo(nil, q)
+	if err != nil || memo != nil {
+		t.Fatalf("miss: memo %v, err %v", memo, err)
+	}
+	hit, memo, err := e.SearchMemo(nil, q)
+	if err != nil || hit != res || memo == nil || memo.Answers() != nil {
+		t.Fatalf("first hit: result shared %v, memo %v, err %v", hit == res, memo, err)
+	}
+	enc := [][]byte{[]byte("a"), []byte("b")}
+	if got := memo.Store(enc); &got[0] != &enc[0] {
+		t.Fatal("the first Store did not win")
+	}
+	if got := memo.Store([][]byte{[]byte("c")}); &got[0] != &enc[0] {
+		t.Fatal("a later Store replaced the memoized answers")
+	}
+	st, err := e.SearchStream(nil, q, StreamOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range st.Answers() {
+	}
+	if st.Memo() != memo {
+		t.Fatal("a stream replay did not get its entry's memo")
+	}
+	_, memos, errs := e.SearchBatchMemo(nil, []Query{q})
+	if errs[0] != nil || memos[0] != memo {
+		t.Fatalf("batch hit: memo %v, err %v", memos[0], errs[0])
+	}
+
+	// Evict q's entry; its next run is a miss and the entry after that
+	// starts with an empty memo.
+	if _, _, err := e.SearchMemo(nil, other); err != nil {
+		t.Fatal(err)
+	}
+	if _, memo, _ := e.SearchMemo(nil, q); memo != nil {
+		t.Fatal("a miss after eviction returned a memo")
+	}
+	if _, memo, _ := e.SearchMemo(nil, q); memo == nil || memo.Answers() != nil {
+		t.Fatal("the re-cached entry kept the evicted entry's memo")
+	}
+
+	off, err := New(g, ix, Options{CacheSize: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, memo, _ := off.SearchMemo(nil, q); memo != nil {
+			t.Fatal("a disabled cache handed out a memo")
+		}
+	}
+}
+
+// TestMemoConcurrentHits: concurrent first hits on one entry all read
+// back the one set of answers that won the Store.
+func TestMemoConcurrentHits(t *testing.T) {
+	g, ix := testGraph(t, 16)
+	e, err := New(g, ix, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := Query{Terms: []string{"alpha", "omega"}, Algo: core.AlgoBidirectional}
+	if _, err := e.Search(nil, q); err != nil {
+		t.Fatal(err)
+	}
+	const n = 8
+	got := make([][][]byte, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, memo, err := e.SearchMemo(context.Background(), q)
+			if err != nil || memo == nil {
+				t.Errorf("hit: memo %v, err %v", memo, err)
+				return
+			}
+			enc := memo.Answers()
+			if enc == nil {
+				enc = memo.Store([][]byte{{byte(i)}})
+			}
+			got[i] = enc
+		}(i)
+	}
+	wg.Wait()
+	for i := 1; i < n; i++ {
+		if got[i] == nil || &got[i][0][0] != &got[0][0][0] {
+			t.Fatalf("hit %d read different memoized answers", i)
+		}
+	}
+}

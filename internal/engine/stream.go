@@ -69,7 +69,14 @@ type Stream struct {
 	done    chan struct{}
 	trailer StreamTrailer
 	err     error
+	// memo is the cache entry's memo when the stream replays a cache hit.
+	memo *Memo
 }
+
+// Memo returns the result-cache entry's memo when the stream replays a
+// cache hit, under the same rules as Engine.SearchMemo; nil otherwise.
+// Answer i of the replay (Rank i+1) is answer i of the memoized result.
+func (s *Stream) Memo() *Memo { return s.memo }
 
 // Answers is the ordered answer channel. It is closed when the search
 // ends — normally, by deadline, or by error.
@@ -151,9 +158,10 @@ func (e *Engine) SearchStream(ctx context.Context, q Query, so StreamOptions) (*
 	key, cacheable := cacheKey{}, false
 	if e.cache != nil {
 		if key, cacheable = newCacheKey(src, terms, q.Algo, q.Opts); cacheable {
-			if res, ok := e.cache.get(key); ok {
+			if ent, ok := e.cache.get(key); ok {
 				e.hits.Add(1)
-				go st.replay(ctx, res)
+				st.memo = &ent.memo
+				go st.replay(ctx, ent.res)
 				return st, nil
 			}
 		}
@@ -169,7 +177,7 @@ func (e *Engine) SearchStream(ctx context.Context, q Query, so StreamOptions) (*
 	// replays its result once complete, like a cache hit.
 	var lead *flight
 	if cacheable {
-		res, f, err := e.join(runCtx, key)
+		res, memo, f, err := e.join(runCtx, key)
 		if err != nil {
 			cancel()
 			e.errored.Add(1)
@@ -177,6 +185,7 @@ func (e *Engine) SearchStream(ctx context.Context, q Query, so StreamOptions) (*
 		}
 		if res != nil {
 			cancel()
+			st.memo = memo
 			go st.replay(ctx, res)
 			return st, nil
 		}

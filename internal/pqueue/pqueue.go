@@ -8,8 +8,12 @@
 // element to record its own heap index through an interface. Every payload
 // here is a small dense integer (a node ID, a per-search slot, an iterator
 // index), so the heap records each item's position in a dense []int32
-// indexed by the item itself: lookups and the position write on every swap
-// are plain array accesses, with no hashing and no interface dispatch.
+// indexed by the item itself: lookups and position writes are plain array
+// accesses, with no hashing and no interface dispatch. The sift loops move
+// a hole instead of swapping: each level moves one item and its priority
+// and writes one position, and the sifted item is written once, where it
+// lands. The resulting layout is exactly that of the swap-based heap
+// TestDenseMatchesReference compares against, so the pop order is too.
 //
 // A max-heap stores negated priorities and negates them back on the way
 // out. Negation is exact in IEEE arithmetic (±0 and ±Inf included), so a
@@ -32,6 +36,9 @@ type Item interface{ ~int32 }
 type Heap[T Item] struct {
 	items []T
 	// prio holds sign×priority, so the heap is always a min-heap on it.
+	// It is kept apart from items: an {item, prio} entry would pad an
+	// int32 item to 16 bytes, and the heap storage a search regrows is a
+	// large share of its allocation.
 	prio []float64
 	// pos[item] is the item's heap index + 1; 0 means absent. Entries of
 	// absent items are always 0, which is what lets Clear run in O(Len).
@@ -203,9 +210,7 @@ func (h *Heap[T]) insert(item T, p float64) {
 	}
 	h.items = append(h.items, item)
 	h.prio = append(h.prio, p)
-	i := len(h.items) - 1
-	h.pos[item] = int32(i + 1)
-	h.up(i)
+	h.up(len(h.items)-1, item, p)
 }
 
 // grow extends the position table to at least n entries, doubling so a
@@ -227,60 +232,68 @@ func (h *Heap[T]) grow(n int) {
 
 func (h *Heap[T]) removeAt(i int) {
 	last := len(h.items) - 1
-	item := h.items[i]
-	h.swap(i, last)
+	h.pos[h.items[i]] = 0
+	item, p := h.items[last], h.prio[last]
 	h.items = h.items[:last]
 	h.prio = h.prio[:last]
-	h.pos[item] = 0
 	if i < last {
-		h.down(i)
-		h.up(i)
+		// The last entry fills the hole at i, sifting whichever way its
+		// priority needs.
+		h.down(i, item, p)
+		h.up(i, h.items[i], h.prio[i])
 	}
 }
 
 func (h *Heap[T]) update(i int, p float64) {
-	old := h.prio[i]
-	h.prio[i] = p
-	if p < old {
-		h.up(i)
+	if p < h.prio[i] {
+		h.up(i, h.items[i], p)
 	} else {
-		h.down(i)
+		h.down(i, h.items[i], p)
 	}
 }
 
-func (h *Heap[T]) swap(i, j int) {
-	h.items[i], h.items[j] = h.items[j], h.items[i]
-	h.prio[i], h.prio[j] = h.prio[j], h.prio[i]
-	h.pos[h.items[i]] = int32(i + 1)
-	h.pos[h.items[j]] = int32(j + 1)
+// place writes item with priority p at index i and records its position.
+func (h *Heap[T]) place(i int, item T, p float64) {
+	h.items[i], h.prio[i] = item, p
+	h.pos[item] = int32(i + 1)
 }
 
-func (h *Heap[T]) up(i int) {
+// up sifts item (priority p) toward the root from the hole at index i:
+// each parent that pops later moves down into the hole, and item lands
+// where the swap-based sift would have left it.
+func (h *Heap[T]) up(i int, item T, p float64) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !(h.prio[i] < h.prio[parent]) {
+		if !(p < h.prio[parent]) {
 			break
 		}
-		h.swap(i, parent)
+		h.place(i, h.items[parent], h.prio[parent])
 		i = parent
 	}
+	h.place(i, item, p)
 }
 
-func (h *Heap[T]) down(i int) {
+// down sifts item (priority p) toward the leaves from the hole at index
+// i. The child choice is the swap-based sift's, comparison for
+// comparison — the left child if it pops before item, the right child if
+// it pops before that — so ties resolve, and the pop order comes out,
+// identically.
+func (h *Heap[T]) down(i int, item T, p float64) {
 	n := len(h.items)
 	for {
 		l, r := 2*i+1, 2*i+2
-		best := i
-		if l < n && h.prio[l] < h.prio[best] {
-			best = l
+		best, bp := -1, p
+		if l < n && h.prio[l] < bp {
+			best, bp = l, h.prio[l]
 		}
-		if r < n && h.prio[r] < h.prio[best] {
+		if r < n && h.prio[r] < bp {
 			best = r
 		}
-		if best == i {
-			return
+		if best < 0 {
+			break
 		}
-		h.swap(i, best)
+		h.place(i, h.items[best], h.prio[best])
 		i = best
 	}
+	h.place(i, item, p)
 }

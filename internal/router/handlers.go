@@ -34,28 +34,10 @@ type routedStats struct {
 	MaxReplicaLag int64 `json:"max_replica_lag,omitempty"`
 }
 
-// searchResponse is the routed /v1/search body — the same shape the
-// shards serve (internal/server searchResponse), with answers passed
-// through as the shards' bytes.
-type searchResponse struct {
-	QueryID   string            `json:"query_id"`
-	Algo      string            `json:"algo"`
-	K         int               `json:"k"`
-	Clamped   []string          `json:"clamped,omitempty"`
-	Truncated bool              `json:"truncated"`
-	Answers   []json.RawMessage `json:"answers"`
-	Stats     routedStats       `json:"stats"`
-}
-
-// streamAnswerLine is one routed NDJSON answer line. Ranks are assigned
-// by the merged order; generated_ms/output_ms are the originating
-// shard's own offsets, passed through.
-type streamAnswerLine struct {
-	Type        string          `json:"type"` // always "answer"
-	Rank        int             `json:"rank"`
-	GeneratedMS float64         `json:"generated_ms"`
-	OutputMS    float64         `json:"output_ms"`
-	Answer      json.RawMessage `json:"answer"`
+// routedStats is the stats object of a routed response over the given
+// number of shards.
+func (agg aggregateTrailer) routedStats(shards int) routedStats {
+	return routedStats{statsJSON: agg.stats, Shards: shards, Failovers: agg.failovers, MaxReplicaLag: agg.maxReplicaLag}
 }
 
 // streamTrailerLine is the final NDJSON line of every routed stream.
@@ -168,21 +150,26 @@ func (rt *Router) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	agg := aggregate(results)
-	answers := make([]json.RawMessage, len(merged))
-	for i, wa := range merged {
-		answers[i] = wa.raw
-	}
-	resp := &searchResponse{
+	annotate(r, agg.queryID, len(merged), agg.truncated)
+	_ = api.WriteBody(w, "application/json", func(b []byte) ([]byte, error) {
+		b, err := appendSearch(b, agg, len(results), merged)
+		return append(b, '\n'), err
+	})
+}
+
+// appendSearch appends the routed search body of one merged query (no
+// trailing newline): the merged answers are the shards' bytes, spliced
+// between the envelope pieces.
+func appendSearch(dst []byte, agg aggregateTrailer, shards int, merged []*wireAnswer) ([]byte, error) {
+	return api.AppendSearch(dst, &api.SearchHead{
 		QueryID:   agg.queryID,
 		Algo:      agg.algo,
 		K:         agg.k,
 		Clamped:   agg.clamped,
 		Truncated: agg.truncated,
-		Answers:   answers,
-		Stats:     routedStats{statsJSON: agg.stats, Shards: len(results), Failovers: agg.failovers, MaxReplicaLag: agg.maxReplicaLag},
-	}
-	annotate(r, resp.QueryID, len(answers), resp.Truncated)
-	writeJSON(w, resp)
+	}, len(merged), func(dst []byte, i int) ([]byte, error) {
+		return append(dst, merged[i].raw...), nil
+	}, agg.routedStats(shards))
 }
 
 // handleSearchStream serves the routed query as NDJSON in the shard wire
@@ -196,20 +183,18 @@ func (rt *Router) handleSearchStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	agg := aggregate(results)
+	annotate(r, agg.queryID, len(merged), agg.truncated)
+	_ = api.WriteBody(w, "application/x-ndjson", func(b []byte) ([]byte, error) {
+		return appendStream(b, agg, len(results), merged)
+	})
+}
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
+// appendStream appends the routed NDJSON stream of one merged query:
+// one line per merged answer, ranked in merged order and carrying the
+// originating shard's own generated_ms/output_ms, then the trailer.
+func appendStream(dst []byte, agg aggregateTrailer, shards int, merged []*wireAnswer) ([]byte, error) {
 	for i, wa := range merged {
-		if err := enc.Encode(streamAnswerLine{
-			Type:        "answer",
-			Rank:        i + 1,
-			GeneratedMS: wa.generatedMS,
-			OutputMS:    wa.outputMS,
-			Answer:      wa.raw,
-		}); err != nil {
-			return // client gone; nothing useful left to send
-		}
+		dst = api.AppendAnswerLine(dst, i+1, wa.generatedMS, wa.outputMS, wa.raw)
 	}
 	trailer := streamTrailerLine{
 		Type:      "trailer",
@@ -221,14 +206,14 @@ func (rt *Router) handleSearchStream(w http.ResponseWriter, r *http.Request) {
 		Cached:    agg.cached,
 		Degraded:  agg.degraded,
 		Answers:   len(merged),
-		Stats:     routedStats{statsJSON: agg.stats, Shards: len(results), Failovers: agg.failovers, MaxReplicaLag: agg.maxReplicaLag},
+		Stats:     agg.routedStats(shards),
 	}
 	if len(merged) > 0 {
 		first := merged[0].outputMS
 		trailer.FirstAnswerMS = &first
 	}
-	_ = enc.Encode(trailer)
-	annotate(r, agg.queryID, len(merged), agg.truncated)
+	dst, err := api.AppendJSON(dst, trailer)
+	return append(dst, '\n'), err
 }
 
 // maxRoutedBatch bounds a routed batch's fan-out amplification: each
@@ -250,13 +235,11 @@ type routedBatchParams struct {
 	Queries   []json.RawMessage `json:"queries"`
 }
 
-// routedBatchResponse is the routed /v1/batch body: results[i] and
-// errors[i] mirror queries[i], exactly one of the pair non-null — the
-// same contract the shards serve. Element-level clamps (k, workers,
-// timeout) are disclosed on each element, as resolved by the shards.
-type routedBatchResponse struct {
-	Results []*searchResponse `json:"results"`
-	Errors  []*errorJSON      `json:"errors"`
+// routedElem is one successfully merged /v1/batch element.
+type routedElem struct {
+	agg    aggregateTrailer
+	shards int
+	merged []*wireAnswer
 }
 
 // handleBatch serves a routed batch by fanning each element through the
@@ -330,10 +313,12 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		bodies[i] = b
 	}
 
-	resp := routedBatchResponse{
-		Results: make([]*searchResponse, len(bodies)),
-		Errors:  make([]*errorJSON, len(bodies)),
-	}
+	// The body mirrors the shard /v1/batch form: results[i] and
+	// errors[i] answer queries[i], exactly one of the pair non-null.
+	// Element-level clamps (k, workers, timeout) are disclosed on each
+	// element, as resolved by the shards.
+	elems := make([]*routedElem, len(bodies))
+	errs := make([]*errorJSON, len(bodies))
 	sem := make(chan struct{}, routedBatchParallel)
 	var wg sync.WaitGroup
 	for i := range bodies {
@@ -352,42 +337,56 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 				rt.met.observeQuery(outcomeError, 0)
 				he := mapShardError(err)
 				detail := api.NewErrorDetail(he.status, he.code, "", he.message)
-				resp.Errors[i] = &detail
+				errs[i] = &detail
 				return
 			}
-			merged := mergeResults(results)
-			agg := aggregate(results)
+			e := &routedElem{agg: aggregate(results), shards: len(results), merged: mergeResults(results)}
 			outcome := outcomeOK
-			if agg.truncated {
+			if e.agg.truncated {
 				outcome = outcomeTruncated
 			}
 			rt.met.observeQuery(outcome, time.Since(start))
-			answers := make([]json.RawMessage, len(merged))
-			for j, wa := range merged {
-				answers[j] = wa.raw
-			}
-			resp.Results[i] = &searchResponse{
-				QueryID:   agg.queryID,
-				Algo:      agg.algo,
-				K:         agg.k,
-				Clamped:   agg.clamped,
-				Truncated: agg.truncated,
-				Answers:   answers,
-				Stats:     routedStats{statsJSON: agg.stats, Shards: len(results), Failovers: agg.failovers, MaxReplicaLag: agg.maxReplicaLag},
-			}
+			elems[i] = e
 		}(i)
 	}
 	wg.Wait()
 
 	answers, truncated := 0, false
-	for _, res := range resp.Results {
-		if res != nil {
-			answers += len(res.Answers)
-			truncated = truncated || res.Truncated
+	for _, e := range elems {
+		if e != nil {
+			answers += len(e.merged)
+			truncated = truncated || e.agg.truncated
 		}
 	}
 	annotate(r, "batch", answers, truncated)
-	writeJSON(w, &resp)
+	_ = api.WriteBody(w, "application/json", func(b []byte) ([]byte, error) {
+		return appendBatch(b, elems, errs)
+	})
+}
+
+// appendBatch appends the routed /v1/batch body, newline included.
+func appendBatch(dst []byte, elems []*routedElem, errs []*errorJSON) ([]byte, error) {
+	n := len(dst)
+	dst = append(dst, `{"results":[`...)
+	for i, e := range elems {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		if e == nil {
+			dst = append(dst, "null"...)
+			continue
+		}
+		var err error
+		if dst, err = appendSearch(dst, e.agg, e.shards, e.merged); err != nil {
+			return dst[:n], err
+		}
+	}
+	dst = append(dst, `],"errors":`...)
+	dst, err := api.AppendJSON(dst, errs)
+	if err != nil {
+		return dst[:n], err
+	}
+	return append(dst, "}\n"...), nil
 }
 
 // handleUnsupported rejects an endpoint the router cannot serve

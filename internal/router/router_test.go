@@ -458,6 +458,64 @@ func TestRouterShardRejectionPassthrough(t *testing.T) {
 	}
 }
 
+// TestRouterShardRejectionV1Only: a shard serving only the v1 error
+// fields (banksd -legacy-errors=false) still has its 4xx code and text
+// passed through, not relabeled shard_rejected.
+func TestRouterShardRejectionV1Only(t *testing.T) {
+	db := corpusDB(t)
+	eng, err := banks.NewEngine(db, banks.EngineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := server.New(server.Config{Engine: eng, DB: db, V1ErrorsOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shard := httptest.NewServer(srv.Handler())
+	t.Cleanup(shard.Close)
+	rt, err := router.New(router.Config{Shards: router.SingleReplicaTopology([]string{shard.URL}), ProbeInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { rt.Close() })
+	front := httptest.NewServer(rt.Handler())
+	t.Cleanup(front.Close)
+
+	type envelope struct {
+		Error struct {
+			Code    string `json:"code"`
+			Detail  string `json:"detail"`
+			Message string `json:"message"`
+		} `json:"error"`
+	}
+	fetch := func(base string) (int, envelope) {
+		resp, err := http.Get(base + "/v1/search?q=gray&algo=bogus")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var env envelope
+		if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, env
+	}
+	shardStatus, direct := fetch(shard.URL)
+	if direct.Error.Code == "" || direct.Error.Detail == "" || direct.Error.Message != "" {
+		t.Fatalf("shard envelope %+v is not v1-only", direct.Error)
+	}
+	status, routed := fetch(front.URL)
+	if status != shardStatus {
+		t.Fatalf("routed HTTP %d, shard HTTP %d", status, shardStatus)
+	}
+	if routed.Error.Code != direct.Error.Code {
+		t.Fatalf("routed code %q, shard code %q", routed.Error.Code, direct.Error.Code)
+	}
+	if !strings.Contains(routed.Error.Detail, direct.Error.Detail) {
+		t.Fatalf("routed detail %q lost the shard's %q", routed.Error.Detail, direct.Error.Detail)
+	}
+}
+
 func TestRouterNearUnsupported(t *testing.T) {
 	d := deploy(t)
 	resp, err := http.Get(d.router.URL + "/v1/near?q=gray")

@@ -65,9 +65,10 @@ type answerKey struct {
 	} `json:"edges"`
 }
 
-// wireAnswer is one answer gathered from a shard: the raw JSON object
-// (passed through to the client byte-for-byte) plus the skeletal
-// banks.Answer the merge orders and dedupes by.
+// wireAnswer is one answer gathered from a shard: the JSON object in the
+// form json.Encoder writes it (the shard's bytes, which banksd already
+// writes that way; see canonicalAnswer), passed through to the client,
+// plus the skeletal banks.Answer the merge orders and dedupes by.
 type wireAnswer struct {
 	shard       int
 	generatedMS float64
@@ -291,46 +292,28 @@ func (rt *Router) fetchStream(ctx context.Context, rep *replicaState, orig *http
 	}
 
 	res := &shardResult{shard: rep.shard}
+	buf := scanBuffers.Get().(*[]byte)
+	defer scanBuffers.Put(buf)
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 64<<10), maxLineBytes)
+	sc.Buffer(*buf, maxLineBytes)
 	for sc.Scan() {
 		raw := sc.Bytes()
 		if len(bytes.TrimSpace(raw)) == 0 {
 			continue
 		}
-		var line shardLine
-		if err := json.Unmarshal(raw, &line); err != nil {
-			return nil, fmt.Errorf("malformed stream line: %w", err)
+		wa, trailer, err := decodeShardLine(raw)
+		if err != nil {
+			return nil, err
 		}
-		switch line.Type {
-		case "answer":
-			var key answerKey
-			if err := json.Unmarshal(line.Answer, &key); err != nil {
-				return nil, fmt.Errorf("malformed answer object: %w", err)
-			}
-			skel := &banks.Answer{Root: key.Root, Score: key.Score, EdgeScore: key.EdgeScore}
-			if len(key.Edges) > 0 {
-				skel.Edges = make([]banks.TreeEdge, len(key.Edges))
-				for i, e := range key.Edges {
-					skel.Edges[i] = banks.TreeEdge{From: e.From, To: e.To}
-				}
-			}
-			res.answers = append(res.answers, &wireAnswer{
-				shard:       rep.shard,
-				generatedMS: line.GeneratedMS,
-				outputMS:    line.OutputMS,
-				raw:         append(json.RawMessage(nil), line.Answer...),
-				key:         skel,
-			})
-		case "trailer":
-			if res.trailer != nil {
-				return nil, fmt.Errorf("stream carried more than one trailer")
-			}
-			t := line
-			res.trailer = &t
-		default:
-			return nil, fmt.Errorf("unknown stream line type %q", line.Type)
+		if wa != nil {
+			wa.shard = rep.shard
+			res.answers = append(res.answers, wa)
+			continue
 		}
+		if res.trailer != nil {
+			return nil, fmt.Errorf("stream carried more than one trailer")
+		}
+		res.trailer = trailer
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("reading stream: %w", err)
@@ -346,6 +329,55 @@ func (rt *Router) fetchStream(ctx context.Context, rep *replicaState, orig *http
 		return nil, fmt.Errorf("in-band stream error: %s", res.trailer.Error)
 	}
 	return res, nil
+}
+
+// scanBuffers recycles the shard stream scanners' initial buffers across
+// attempts. Answer lines are a few KB, so 16 KiB holds several; a longer
+// line (up to maxLineBytes) makes its scanner grow a buffer of its own.
+// The pool keeps about one buffer per concurrent attempt alive, which is
+// why the buffers are not larger.
+var scanBuffers = sync.Pool{New: func() any {
+	b := make([]byte, 16<<10)
+	return &b
+}}
+
+// decodeShardLine decodes one non-blank shard stream line into either an
+// answer (its bytes copied out of line, in encoder form) or the trailer.
+// Canonical answer lines take the fast path in wire.go; every other line
+// is decoded by encoding/json.
+func decodeShardLine(line []byte) (*wireAnswer, *shardLine, error) {
+	wa := &wireAnswer{}
+	if !json.Valid(line) || !decodeAnswerLine(line, wa) {
+		var sl shardLine
+		if err := json.Unmarshal(line, &sl); err != nil {
+			return nil, nil, fmt.Errorf("malformed stream line: %w", err)
+		}
+		switch sl.Type {
+		case "answer":
+		case "trailer":
+			return nil, &sl, nil
+		default:
+			return nil, nil, fmt.Errorf("unknown stream line type %q", sl.Type)
+		}
+		var key answerKey
+		if err := json.Unmarshal(sl.Answer, &key); err != nil {
+			return nil, nil, fmt.Errorf("malformed answer object: %w", err)
+		}
+		skel := &banks.Answer{Root: key.Root, Score: key.Score, EdgeScore: key.EdgeScore}
+		if len(key.Edges) > 0 {
+			skel.Edges = make([]banks.TreeEdge, len(key.Edges))
+			for i, e := range key.Edges {
+				skel.Edges[i] = banks.TreeEdge{From: e.From, To: e.To}
+			}
+		}
+		wa = &wireAnswer{generatedMS: sl.GeneratedMS, outputMS: sl.OutputMS, raw: sl.Answer, key: skel}
+	}
+	raw, err := canonicalAnswer(wa.raw)
+	if err != nil {
+		return nil, nil, fmt.Errorf("malformed answer object: %w", err)
+	}
+	wa.raw = bytes.Clone(raw) // the fast path's span points into the scanner's buffer
+	return wa, nil, nil
 }
 
 // shardHTTPError is a shard's own HTTP rejection (as opposed to an
@@ -366,19 +398,26 @@ func (e *shardHTTPError) Error() string {
 }
 
 // decodeShardHTTPError turns a non-200 shard response into an error,
-// surfacing the shard's own JSON error envelope when it sent one.
+// surfacing the shard's own JSON error envelope when it sent one. It
+// reads the v1 fields (error.code, error.detail), falling back to the
+// deprecated error.message mirror, so a shard serving v1-only errors
+// (banksd -legacy-errors=false) keeps its code and text.
 func decodeShardHTTPError(resp *http.Response) error {
 	raw, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 	herr := &shardHTTPError{status: resp.StatusCode}
 	var body struct {
 		Error struct {
 			Code    string `json:"code"`
+			Detail  string `json:"detail"`
 			Message string `json:"message"`
 		} `json:"error"`
 	}
-	if json.Unmarshal(raw, &body) == nil && body.Error.Message != "" {
+	if json.Unmarshal(raw, &body) == nil {
 		herr.code = body.Error.Code
-		herr.message = body.Error.Message
+		herr.message = body.Error.Detail
+		if herr.message == "" {
+			herr.message = body.Error.Message
+		}
 	}
 	return herr
 }

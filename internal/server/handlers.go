@@ -51,21 +51,6 @@ type statsJSON struct {
 	BudgetExhausted  bool    `json:"budget_exhausted,omitempty"`
 }
 
-// searchResponse is the /v1/search (and per-element /v1/batch) body.
-type searchResponse struct {
-	QueryID string `json:"query_id"`
-	Algo    string `json:"algo"`
-	K       int    `json:"k"`
-	// Clamped lists request fields reduced by the tenant limits, so a
-	// caller can tell "ran as asked" from "ran with caps applied".
-	Clamped []string `json:"clamped,omitempty"`
-	// Truncated reports that the deadline cut the search short: Answers
-	// is a valid partial top-k prefix, not the complete answer.
-	Truncated bool         `json:"truncated"`
-	Answers   []answerJSON `json:"answers"`
-	Stats     statsJSON    `json:"stats"`
-}
-
 func (s *Server) statsJSON(st banks.Stats) statsJSON {
 	return statsJSON{
 		NodesExplored:    st.NodesExplored,
@@ -122,20 +107,55 @@ func (s *Server) answerJSON(a *banks.Answer) answerJSON {
 	}
 }
 
-func (s *Server) searchResponse(req *searchRequest, res *banks.Result) *searchResponse {
-	answers := make([]answerJSON, len(res.Answers))
-	for i, a := range res.Answers {
-		answers[i] = s.answerJSON(a)
+// memoAnswers returns a cache hit's encoded answers: each answer's JSON
+// object as json.Encoder writes it, made on the cache entry's first hit
+// and kept in its memo for every later one.
+func (s *Server) memoAnswers(answers []*banks.Answer, memo *banks.Memo) ([][]byte, error) {
+	if enc := memo.Answers(); enc != nil {
+		return enc, nil
 	}
-	return &searchResponse{
+	var buf []byte
+	ends := make([]int, len(answers))
+	for i, a := range answers {
+		var err error
+		if buf, err = api.AppendJSON(buf, s.answerJSON(a)); err != nil {
+			return nil, err
+		}
+		ends[i] = len(buf)
+	}
+	// The bytes live as long as the cache entry: drop the appends' slack.
+	buf = append(make([]byte, 0, len(buf)), buf...)
+	enc := make([][]byte, len(answers))
+	start := 0
+	for i, end := range ends {
+		enc[i] = buf[start:end:end]
+		start = end
+	}
+	return memo.Store(enc), nil
+}
+
+// appendSearch appends the /v1/search body of one result (also one
+// /v1/batch element), without a trailing newline. A miss (memo nil)
+// encodes its answers straight into the body; a hit splices in the
+// memoized encodings.
+func (s *Server) appendSearch(dst []byte, req *searchRequest, res *banks.Result, memo *banks.Memo) ([]byte, error) {
+	answer := func(dst []byte, i int) ([]byte, error) {
+		return api.AppendJSON(dst, s.answerJSON(res.Answers[i]))
+	}
+	if memo != nil {
+		enc, err := s.memoAnswers(res.Answers, memo)
+		if err != nil {
+			return dst, err
+		}
+		answer = func(dst []byte, i int) ([]byte, error) { return append(dst, enc[i]...), nil }
+	}
+	return api.AppendSearch(dst, &api.SearchHead{
 		QueryID:   req.queryID(),
 		Algo:      string(req.Algo),
 		K:         req.Opts.Normalized().K,
 		Clamped:   req.Clamped,
 		Truncated: res.Stats.Truncated,
-		Answers:   answers,
-		Stats:     s.statsJSON(res.Stats),
-	}
+	}, len(res.Answers), answer, s.statsJSON(res.Stats))
 }
 
 // annotate fills the request-log record for the middleware.
@@ -165,18 +185,18 @@ func queryCtx(r *http.Request, timeout time.Duration) (context.Context, context.
 // time (Stats.Duration), the one definition every query path shares;
 // errored queries have no execution time and contribute only to the
 // outcome counter.
-func (s *Server) runSearch(ctx context.Context, req *searchRequest) (*banks.Result, *httpError) {
-	res, err := s.eng.Search(ctx, req.Query, req.Algo, req.Opts)
+func (s *Server) runSearch(ctx context.Context, req *searchRequest) (*banks.Result, *banks.Memo, *httpError) {
+	res, memo, err := s.eng.SearchMemo(ctx, req.Query, req.Algo, req.Opts)
 	if err != nil {
 		s.met.observeQuery(string(req.Algo), outcomeError, 0)
-		return nil, mapQueryError(err)
+		return nil, nil, mapQueryError(err)
 	}
 	outcome := outcomeOK
 	if res.Stats.Truncated {
 		outcome = outcomeTruncated
 	}
 	s.met.observeQuery(string(req.Algo), outcome, res.Stats.Duration)
-	return res, nil
+	return res, memo, nil
 }
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
@@ -187,15 +207,17 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := queryCtx(r, req.Timeout)
 	defer cancel()
-	res, herr := s.runSearch(ctx, req)
+	res, memo, herr := s.runSearch(ctx, req)
 	if herr != nil {
 		annotate(r, req.queryID(), 0, false)
 		s.writeError(w, herr)
 		return
 	}
-	resp := s.searchResponse(req, res)
-	annotate(r, resp.QueryID, len(resp.Answers), resp.Truncated)
-	writeJSON(w, resp)
+	annotate(r, req.queryID(), len(res.Answers), res.Stats.Truncated)
+	_ = api.WriteBody(w, "application/json", func(b []byte) ([]byte, error) {
+		b, err := s.appendSearch(b, req, res, memo)
+		return append(b, '\n'), err
+	})
 }
 
 // explainResponse is the /v1/explain body: the same search, rendered the
@@ -216,7 +238,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := queryCtx(r, req.Timeout)
 	defer cancel()
-	res, herr := s.runSearch(ctx, req)
+	res, _, herr := s.runSearch(ctx, req)
 	if herr != nil {
 		annotate(r, req.queryID(), 0, false)
 		s.writeError(w, herr)
@@ -310,16 +332,6 @@ func (s *Server) handleNear(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// batchResponse is the /v1/batch body: results[i] and errors[i] mirror
-// queries[i]; exactly one of the pair is non-null. Clamped discloses
-// batch-level reductions (the shared deadline); per-element clamps appear
-// on the elements.
-type batchResponse struct {
-	Clamped []string          `json:"clamped,omitempty"`
-	Results []*searchResponse `json:"results"`
-	Errors  []*errorJSON      `json:"errors"`
-}
-
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -339,13 +351,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	for i, req := range reqs {
 		queries[i] = banks.BatchQuery{Query: req.Query, Algo: req.Algo, Opts: req.Opts}
 	}
-	results, errs := s.eng.SearchBatch(ctx, queries)
+	results, memos, errs := s.eng.SearchBatchMemo(ctx, queries)
 
-	resp := batchResponse{
-		Clamped: clamped,
-		Results: make([]*searchResponse, len(reqs)),
-		Errors:  make([]*errorJSON, len(reqs)),
-	}
+	// The body is {"clamped":…,"results":[…],"errors":[…]}: results[i]
+	// and errors[i] mirror queries[i], exactly one of the pair non-null.
+	// Clamped discloses batch-level reductions (the shared deadline);
+	// per-element clamps appear on the elements.
+	details := make([]*errorJSON, len(reqs))
 	answers, truncated := 0, false
 	for i := range reqs {
 		if errs[i] != nil {
@@ -359,7 +371,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			if s.v1ErrorsOnly {
 				detail = detail.V1Only()
 			}
-			resp.Errors[i] = &detail
+			details[i] = &detail
 			continue
 		}
 		res := results[i]
@@ -369,11 +381,35 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			truncated = true
 		}
 		s.met.observeQuery(string(reqs[i].Algo), outcome, res.Stats.Duration)
-		resp.Results[i] = s.searchResponse(reqs[i], res)
-		answers += len(resp.Results[i].Answers)
+		answers += len(res.Answers)
 	}
 	annotate(r, "batch", answers, truncated)
-	writeJSON(w, resp)
+	_ = api.WriteBody(w, "application/json", func(b []byte) ([]byte, error) {
+		b, err := api.AppendOpen(b, struct {
+			Clamped []string `json:"clamped,omitempty"`
+		}{clamped})
+		if err != nil {
+			return b, err
+		}
+		b = append(b, `"results":[`...)
+		for i, res := range results {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			if errs[i] != nil {
+				b = append(b, "null"...)
+				continue
+			}
+			if b, err = s.appendSearch(b, reqs[i], res, memos[i]); err != nil {
+				return b, err
+			}
+		}
+		b = append(b, `],"errors":`...)
+		if b, err = api.AppendJSON(b, details); err != nil {
+			return b, err
+		}
+		return append(b, "}\n"...), nil
+	})
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -33,6 +33,10 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 	return w.ResponseWriter.Write(b)
 }
 
+// Unwrap exposes the wrapped writer to http.ResponseController, without
+// which the stream handler's per-answer flushes would fail as unsupported.
+func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
+
 // reqInfo is the per-request record handlers annotate (query ID, answer
 // count, truncation) so the middleware can emit one complete log line
 // after the response is written.

@@ -1,11 +1,11 @@
 package server
 
 import (
-	"encoding/json"
 	"net/http"
 	"time"
 
 	"banks"
+	"banks/internal/api"
 )
 
 // The /v1/search/stream endpoint: the same query surface as /v1/search,
@@ -16,18 +16,6 @@ import (
 // paper's interactivity contract (§5.2 separates answer generation from
 // answer output precisely so the system can emit early). See
 // docs/STREAMING.md for the wire format.
-
-// streamAnswerLine is one NDJSON answer line.
-type streamAnswerLine struct {
-	Type string `json:"type"` // always "answer"
-	// Rank is the answer's 1-based position in the stream.
-	Rank int `json:"rank"`
-	// GeneratedMS/OutputMS are the §5.2 generation and output offsets of
-	// this answer, in milliseconds from search start.
-	GeneratedMS float64    `json:"generated_ms"`
-	OutputMS    float64    `json:"output_ms"`
-	Answer      answerJSON `json:"answer"`
-}
 
 // streamTrailerLine is the final NDJSON line of every stream.
 type streamTrailerLine struct {
@@ -91,24 +79,33 @@ func (s *Server) handleSearchStream(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	rc := http.NewResponseController(w)
-	enc := json.NewEncoder(w)
-	// writeLine encodes one NDJSON line and flushes it to the wire — the
-	// flush is what makes the answer reach the client now instead of
-	// whenever the buffer fills. A write error means the client went
-	// away: cancel the query so the search stops generating, but keep
-	// draining the stream (the producer needs a reader until it notices
-	// the cancellation).
+	// A live stream writes and flushes each line the moment its answer is
+	// output — the flush is what makes the answer reach the client now
+	// instead of whenever the buffer fills. A stream that replays a
+	// cached result (st.Memo() non-nil) is a recording with nothing to
+	// wait for: its lines are gathered and go out in one write and one
+	// flush at the trailer. A write error means the client went away:
+	// cancel the query so the search stops generating, but keep draining
+	// the stream (the producer needs a reader until it notices the
+	// cancellation).
+	memo := st.Memo()
+	memoized := memo.Answers()
+	var encoded [][]byte // a replay's fresh encodings, for the memo
+	buf := api.GetBody()
+	defer api.PutBody(buf)
+	line, scratch := *buf, []byte(nil)
+	defer func() { *buf = line }()
 	clientGone := false
-	writeLine := func(v any) {
-		if clientGone {
-			return
+	flush := func() {
+		if !clientGone && len(line) > 0 {
+			if _, err := w.Write(line); err != nil {
+				clientGone = true
+				cancel()
+			} else {
+				_ = rc.Flush()
+			}
 		}
-		if err := enc.Encode(v); err != nil {
-			clientGone = true
-			cancel()
-			return
-		}
-		_ = rc.Flush()
+		line = line[:0]
 	}
 
 	start := time.Now()
@@ -121,19 +118,37 @@ func (s *Server) handleSearchStream(w http.ResponseWriter, r *http.Request) {
 			firstWall = time.Since(start)
 			firstOut = ms(ev.OutputAt)
 		}
-		writeLine(streamAnswerLine{
-			Type:        "answer",
-			Rank:        ev.Rank,
-			GeneratedMS: ms(ev.Answer.GeneratedAt),
-			OutputMS:    ms(ev.OutputAt),
-			Answer:      s.answerJSON(ev.Answer),
-		})
+		if clientGone {
+			continue
+		}
+		var answer []byte
+		var err error
+		switch {
+		case memo == nil: // live: encode into the reused scratch
+			scratch, err = api.AppendJSON(scratch[:0], s.answerJSON(ev.Answer))
+			answer = scratch
+		case ev.Rank-1 < len(memoized):
+			answer = memoized[ev.Rank-1]
+		default: // the entry's first hit: encode, and keep for the memo
+			answer, err = api.AppendJSON(nil, s.answerJSON(ev.Answer))
+			encoded = append(encoded, answer)
+		}
+		if err != nil {
+			clientGone = true
+			cancel()
+			continue
+		}
+		line = api.AppendAnswerLine(line, ev.Rank, ms(ev.Answer.GeneratedAt), ms(ev.OutputAt), answer)
+		if memo == nil {
+			flush()
+		}
 	}
 	tr, terr := st.Trailer()
 
+	qid := req.queryID()
 	trailer := streamTrailerLine{
 		Type:      "trailer",
-		QueryID:   req.queryID(),
+		QueryID:   qid,
 		Algo:      string(req.Algo),
 		K:         req.Opts.Normalized().K,
 		Clamped:   req.Clamped,
@@ -156,11 +171,19 @@ func (s *Server) handleSearchStream(w http.ResponseWriter, r *http.Request) {
 		}
 		s.met.observeQuery(string(req.Algo), outcome, tr.Stats.Duration)
 	}
-	writeLine(trailer)
+	if l, err := api.AppendJSON(line, trailer); err == nil {
+		line = append(l, '\n')
+	}
+	flush()
+	// The first hit on a cache entry leaves its encodings behind for the
+	// next, once the whole result went out.
+	if memo != nil && memoized == nil && !clientGone && terr == nil && !tr.Truncated && len(encoded) == answers {
+		memo.Store(encoded)
+	}
 	s.met.observeStream(answers, firstWall)
 
 	if info := infoFrom(r.Context()); info != nil {
-		info.queryID = req.queryID()
+		info.queryID = qid
 		info.answers = answers
 		info.truncated = tr.Truncated
 		info.stream = true
