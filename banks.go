@@ -110,14 +110,10 @@ type BuildOptions struct {
 // Concurrency contract: a DB is immutable after Build returns and is safe
 // for use by any number of concurrent readers — Search, SearchTerms,
 // SearchNodes, Near, their *Context variants, NodeLabel and Explain may all
-// run in parallel on the same DB without synchronization. This covers
-// intra-query parallelism too: a search with Options.Workers ≥ 1 spreads
-// its own work across goroutines that share the same read-only graph and
-// index state, and returns results bit-identical to a serial run. When
-// Workers ≥ 1, Options.EdgeFilter and Options.EdgePriority callbacks are
-// invoked from those worker goroutines and must be pure and safe for
-// concurrent use. Do not mutate the exported fields (or the structures
-// they point to) after Build; doing so voids the contract.
+// run in parallel on the same DB without synchronization. Each search runs
+// on the calling goroutine, and so do its Options.EdgeFilter and
+// Options.EdgePriority callbacks. Do not mutate the exported fields (or
+// the structures they point to) after Build; doing so voids the contract.
 type DB struct {
 	Graph     *graph.Graph
 	Index     *index.Index
@@ -190,7 +186,7 @@ func (d *DB) Search(query string, algo Algorithm, opts Options) (*Result, error)
 func (d *DB) SearchContext(ctx context.Context, query string, algo Algorithm, opts Options) (*Result, error) {
 	terms := Keywords(query)
 	if len(terms) == 0 {
-		return nil, errors.New("banks: query contains no keywords")
+		return nil, &core.InputError{Reason: "query contains no keywords"}
 	}
 	return d.SearchTermsContext(ctx, terms, algo, opts)
 }
@@ -230,7 +226,7 @@ func (d *DB) Near(query string, opts Options) ([]NearResult, Stats, error) {
 func (d *DB) NearContext(ctx context.Context, query string, opts Options) ([]NearResult, Stats, error) {
 	terms := Keywords(query)
 	if len(terms) == 0 {
-		return nil, Stats{}, errors.New("banks: query contains no keywords")
+		return nil, Stats{}, &core.InputError{Reason: "query contains no keywords"}
 	}
 	kw := make([][]NodeID, len(terms))
 	for i, t := range terms {

@@ -4,17 +4,14 @@
 // Usage:
 //
 //	banks [-dataset dblp|imdb|patents] [-factor 0.25] [-algo bidirectional]
-//	      [-k 10] [-near] [-stream] [-timeout 200ms] [-parallel 4] [-workers 4]
+//	      [-k 10] [-near] [-stream] [-timeout 200ms] [-parallel 4]
 //	      [-snapshot dblp.snap] [-query "gray transaction"]
 //
 // -stream prints each answer the moment the search outputs it (the
 // paper's §5.2 interactive delivery) instead of waiting for the full
 // top-k, and reports the first-answer latency alongside the total.
 //
-// -parallel widens the pool that runs queries concurrently; -workers lets
-// each single query use that many extra goroutines for its own search
-// (intra-query parallelism, bit-identical results). Both draw on the same
-// pool budget when combined.
+// -parallel widens the pool that runs queries concurrently.
 //
 // Without -query it reads one query per line from standard input. A -query
 // value may contain several queries separated by ';' — tree-search queries
@@ -55,7 +52,6 @@ func main() {
 	stream := flag.Bool("stream", false, "print answers as they are output (incremental delivery with first-answer latency)")
 	timeout := flag.Duration("timeout", 0, "per-query deadline (0 = none); expired queries return a truncated partial top-k")
 	parallel := flag.Int("parallel", 0, "worker-pool width for batch queries (0 = GOMAXPROCS)")
-	workers := flag.Int("workers", 0, "intra-query worker goroutines per search (0 = serial; results are bit-identical either way)")
 	snapshot := flag.String("snapshot", "", "open this snapshot file (building and saving it first if absent)")
 	query := flag.String("query", "", "run a single query (or several separated by ';') and exit (default: read queries from stdin)")
 	flag.Parse()
@@ -72,7 +68,7 @@ func main() {
 	fmt.Printf("dataset %s ready: %d nodes, %d edges, %d terms (%d workers)\n",
 		*dataset, db.Graph.NumNodes(), db.Graph.NumEdges(), db.Index.NumTerms(), eng.Workers())
 
-	opts := banks.Options{K: *k, Workers: *workers}
+	opts := banks.Options{K: *k}
 	ctx := context.Background()
 
 	printResult := func(res *banks.Result, elapsed time.Duration) {

@@ -36,7 +36,6 @@ func main() {
 	maxNodes := flag.Int("maxnodes", 600_000, "node-expansion budget per search (0 = unlimited)")
 	seed := flag.Int64("seed", 42, "workload sampling seed")
 	snapshot := flag.String("snapshot", "", "cache built graphs+indexes as snapshots in this directory")
-	workers := flag.Int("workers", 0, "intra-query worker goroutines per search (0 = serial; results are bit-identical)")
 	flag.Parse()
 
 	cfg := experiments.Config{
@@ -46,7 +45,6 @@ func main() {
 		MaxNodes:       *maxNodes,
 		Seed:           *seed,
 		SnapshotDir:    *snapshot,
-		Workers:        *workers,
 	}
 
 	run := func(name string, f func() (string, error)) {

@@ -113,11 +113,11 @@ func hammerWorkload(t testing.TB, db *banks.DB) []hammerWork {
 	return work
 }
 
-// runHammerWork executes one workload item with the given intra-query
-// worker count (0 = serial) and returns its deterministic signature.
-func runHammerWork(t testing.TB, db *banks.DB, w hammerWork, workers int) string {
+// runHammerWork executes one workload item and returns its deterministic
+// signature.
+func runHammerWork(t testing.TB, db *banks.DB, w hammerWork) string {
 	t.Helper()
-	opts := banks.Options{K: 5, MaxNodes: 2000, Workers: workers}
+	opts := banks.Options{K: 5, MaxNodes: 2000}
 	if w.near {
 		res, stats, err := db.Near(w.query, opts)
 		if err != nil {
@@ -148,10 +148,10 @@ func TestConcurrentSearchHammer(t *testing.T) {
 	// deterministic before blaming concurrency for any mismatch.
 	baseline := make([]string, len(work))
 	for i, w := range work {
-		baseline[i] = runHammerWork(t, db, w, 0)
+		baseline[i] = runHammerWork(t, db, w)
 	}
 	for i, w := range work {
-		if again := runHammerWork(t, db, w, 0); again != baseline[i] {
+		if again := runHammerWork(t, db, w); again != baseline[i] {
 			t.Fatalf("serial run not deterministic for %+v:\n--- first ---\n%s--- second ---\n%s", w, baseline[i], again)
 		}
 	}
@@ -166,7 +166,7 @@ func TestConcurrentSearchHammer(t *testing.T) {
 			defer wg.Done()
 			for it := 0; it < perGoroutine; it++ {
 				i := (gid + it) % len(work)
-				if got := runHammerWork(t, db, work[i], 0); got != baseline[i] {
+				if got := runHammerWork(t, db, work[i]); got != baseline[i] {
 					select {
 					case mismatch <- fmt.Sprintf("goroutine %d work %+v:\n--- serial ---\n%s--- concurrent ---\n%s",
 						gid, work[i], baseline[i], got):
@@ -181,51 +181,6 @@ func TestConcurrentSearchHammer(t *testing.T) {
 	close(mismatch)
 	if msg, ok := <-mismatch; ok {
 		t.Fatalf("concurrent result diverged from serial baseline:\n%s", msg)
-	}
-}
-
-// TestConcurrentIntraQueryHammer is the intra-query extension of the
-// hammer: 8 goroutines run concurrent queries that each ALSO use
-// intra-query workers (2 or 4, varying per goroutine), so worker
-// goroutines of different searches interleave on the shared DB. Under
-// -race this proves the parallel search machinery shares nothing mutable
-// across queries; the signature comparison proves every parallel result
-// is bit-identical to the serial (Workers: 0) baseline.
-func TestConcurrentIntraQueryHammer(t *testing.T) {
-	db := testDB(t)
-	work := hammerWorkload(t, db)
-
-	baseline := make([]string, len(work))
-	for i, w := range work {
-		baseline[i] = runHammerWork(t, db, w, 0)
-	}
-
-	const goroutines = 8
-	const perGoroutine = 26
-	var wg sync.WaitGroup
-	mismatch := make(chan string, goroutines)
-	for gid := 0; gid < goroutines; gid++ {
-		wg.Add(1)
-		go func(gid int) {
-			defer wg.Done()
-			workers := 2 + (gid%2)*2 // goroutines alternate 2 and 4 intra-query workers
-			for it := 0; it < perGoroutine; it++ {
-				i := (gid + it) % len(work)
-				if got := runHammerWork(t, db, work[i], workers); got != baseline[i] {
-					select {
-					case mismatch <- fmt.Sprintf("goroutine %d (workers %d) work %+v:\n--- serial ---\n%s--- parallel ---\n%s",
-						gid, workers, work[i], baseline[i], got):
-					default:
-					}
-					return
-				}
-			}
-		}(gid)
-	}
-	wg.Wait()
-	close(mismatch)
-	if msg, ok := <-mismatch; ok {
-		t.Fatalf("intra-query parallel result diverged from serial baseline:\n%s", msg)
 	}
 }
 
@@ -248,15 +203,7 @@ func TestConcurrentEngineBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 		serial = append(serial, resultSignature(res))
-		// Every other query also asks for intra-query workers: the engine
-		// grants them opportunistically from the same pool, and by the
-		// bit-identical contract the granted count (0..2) cannot change
-		// the signature.
-		bq := banks.BatchQuery{Query: w.query, Algo: w.algo, Opts: opts}
-		if len(batch)%2 == 1 {
-			bq.Opts.Workers = 2
-		}
-		batch = append(batch, bq)
+		batch = append(batch, banks.BatchQuery{Query: w.query, Algo: w.algo, Opts: opts})
 	}
 
 	eng, err := banks.NewEngine(db, banks.EngineOptions{Workers: 8, CacheSize: -1})

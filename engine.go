@@ -32,17 +32,11 @@ type BatchQuery struct {
 // Engine serves concurrent queries against one DB with a bounded worker
 // pool, per-query deadlines and an LRU result cache. It relies on the DB
 // concurrency contract (immutable after Build): any number of goroutines
-// may call Search/SearchBatch/Near on the same Engine.
-//
-// Queries that request intra-query parallelism (Options.Workers) draw
-// those workers opportunistically from the same pool budget: the grab
-// never blocks, so a saturated pool degrades such queries to serial
-// execution with identical results (parallel search is bit-identical to
-// serial by the core contract) rather than deadlocking or oversubscribing.
+// may call Search/SearchBatch/Near on the same Engine. Each search runs
+// serially on the goroutine holding its pool slot.
 //
 // Results may be shared between callers through the cache and must be
-// treated as read-only. The cache key ignores Options.Workers — serial
-// and parallel callers share entries.
+// treated as read-only.
 type Engine struct {
 	db *DB
 	e  *engine.Engine
@@ -176,8 +170,8 @@ type EngineStats struct {
 	CacheHits, CacheMisses uint64
 	// CacheLen is the current number of cached results.
 	CacheLen int
-	// InFlight is the number of pool slots currently held (executing
-	// queries plus intra-query worker grants).
+	// InFlight is the number of pool slots currently held, i.e. the
+	// number of executing queries.
 	InFlight int
 	// Workers is the pool's concurrency bound.
 	Workers int

@@ -169,29 +169,3 @@ func TestGoldenTopK(t *testing.T) {
 		})
 	}
 }
-
-// TestGoldenTopKParallel re-runs every pinned query with intra-query
-// parallelism (Workers: 4) and diffs against the same serial pins:
-// parallel execution must not be able to change pinned ranking, scores or
-// leaves. Near ignores Workers by documented fallback and is pinned to
-// that too.
-func TestGoldenTopKParallel(t *testing.T) {
-	db := goldenDB(t)
-	for _, tc := range goldenCases {
-		t.Run(tc.name, func(t *testing.T) {
-			opts := banks.Options{K: tc.k, Workers: 4}
-			var got string
-			if tc.near {
-				got = goldenNear(t, db, tc.query, opts)
-			} else {
-				got = goldenAnswers(t, db, tc.query, tc.algo, opts)
-			}
-			if *goldenPrint {
-				return // serial pass already printed the pins
-			}
-			if got != tc.want {
-				t.Errorf("parallel golden mismatch (Workers: 4):\n--- want ---\n%s--- got ---\n%s", tc.want, got)
-			}
-		})
-	}
-}

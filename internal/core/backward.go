@@ -19,14 +19,9 @@ import (
 // memory behaviour: a node reached by many iterators is stored once per
 // iterator, which is exactly the cost §4.2.1 criticizes.
 //
-// The search is structured as a deterministic merge over per-iterator
-// event streams: each iterator's advance (settle + expand) touches only
-// iterator-local state and yields a miEvent, and a single coordinator
-// applies events in the schedule order of the serial loop. With
-// opts.Workers == 0 events are produced inline; with Workers ≥ 1 they are
-// produced speculatively by worker goroutines (backward_parallel.go). The
-// merge order — and therefore every answer, score, tie-break and counter —
-// is identical in both modes.
+// Each step advances the scheduled iterator (settle + expand), which
+// touches only iterator-local state and yields a miEvent, then applies the
+// event to the cross-iterator state (applyEvent).
 //
 // ctx bounds the search: on expiry the answers buffered so far are flushed
 // as a partial top-k with Stats.Truncated set.
@@ -57,22 +52,16 @@ func MIBackward(ctx context.Context, g graph.View, keywords [][]graph.NodeID, op
 	defer m.putScratch()
 	if !m.expired() && !anyEmptyKeyword(keywords) {
 		m.seed()
-		if opts.Workers >= 1 {
-			m.runParallel(opts.Workers)
-		} else {
-			m.tabs = m.scr.tables(1)
-			m.source = m.serialSource
-			m.run()
-		}
+		m.run()
 	}
 	m.putScratch()
 	stats.Duration = time.Since(start)
 	return &Result{Answers: out.results(), Stats: *stats}, nil
 }
 
-// putScratch hands the scratch back to the pool, once, after every
-// producer goroutine has stopped. Like searchContext.putScratch it runs
-// before the duration is stamped and is deferred for other exit paths.
+// putScratch hands the scratch back to the pool, once. Like
+// searchContext.putScratch it runs before the duration is stamped and is
+// deferred for other exit paths.
 func (m *miSearch) putScratch() {
 	if m.scr != nil {
 		m.scr.put()
@@ -82,15 +71,14 @@ func (m *miSearch) putScratch() {
 
 // miIterator is one single-source shortest-path iterator (§3): Dijkstra
 // from a keyword node over reversed combined edges. All fields are
-// iterator-local: after seeding, an iterator is touched by exactly one
-// goroutine (the coordinator in serial mode, its owning worker in parallel
-// mode) and never read by the merge — the merge sees only miEvents.
+// iterator-local and never read by the merge — the merge sees only
+// miEvents.
 //
 // An iterator keeps one record per node it has reached, in reach order
 // (its slots). The node → slot lookup, one per relaxation, goes through a
-// table its owner shares among all its iterators (miTable): arrays
-// indexed by NodeID would be cheaper still, but a query can run
-// thousands of iterators, and NumNodes entries each is too much memory.
+// table all the iterators of a search share (miTable): arrays indexed by
+// NodeID would be cheaper still, but a query can run thousands of
+// iterators, and NumNodes entries each is too much memory.
 type miIterator struct {
 	// idx is the iterator's index in the search, its key in the table.
 	idx  int32
@@ -126,8 +114,8 @@ func (it *miIterator) start(idx int32, origin graph.NodeID, recs []miRec, items 
 }
 
 // miEvent is one settle produced by an iterator's advance: everything the
-// merge coordinator needs to reproduce the serial step's globally visible
-// effects without touching iterator state.
+// merge needs to apply the step's globally visible effects without
+// touching iterator state.
 type miEvent struct {
 	// v was settled at distance d.
 	v graph.NodeID
@@ -136,11 +124,11 @@ type miEvent struct {
 	// toward the origin at settle time, -1 at the origin itself. v's own
 	// settle order is the number of events its iterator produced before.
 	// Predecessor chains run through settled nodes only, whose next
-	// pointers are final, so the coordinator can rebuild root→origin
-	// paths from consumed events alone.
+	// pointers are final, so the merge can rebuild root→origin paths from
+	// applied events alone.
 	pred int32
 	// nextD/nextOK give the iterator's frontier head after the expansion —
-	// the priority the serial loop re-schedules the iterator with.
+	// the priority the loop re-schedules the iterator with.
 	nextD  float64
 	nextOK bool
 	// touched/relaxed are the step's Stats deltas (frontier insertions and
@@ -151,14 +139,11 @@ type miEvent struct {
 // advance runs one getnext() of the iterator (§3) using iterator-local
 // state only: settle the minimum-distance frontier node and expand the
 // frontier across incoming combined edges. It fills ev with the step's
-// globally visible effects, which the coordinator applies in schedule
-// order (applyEvent). ok is false when the frontier is exhausted. tab is
-// the table of the iterator's owner.
-func (it *miIterator) advance(g graph.View, opts *Options, tab *miTable, ev *miEvent) bool {
-	sv, d, ok := it.frontier.Pop()
-	if !ok {
-		return false
-	}
+// globally visible effects, which the search applies in schedule order
+// (applyEvent). The frontier must be non-empty. tab is the search's
+// node → slot table.
+func (it *miIterator) advance(g graph.View, opts *Options, tab *miTable, ev *miEvent) {
+	sv, d, _ := it.frontier.Pop()
 	rv := &it.recs[sv]
 	if it.settled == 0 {
 		tab.find(it.idx, rv.node, sv)
@@ -202,7 +187,6 @@ func (it *miIterator) advance(g graph.View, opts *Options, tab *miTable, ev *miE
 	}
 	_, nd, nok := it.frontier.Peek()
 	ev.nextD, ev.nextOK = nd, nok
-	return true
 }
 
 // miGlobal is the cross-iterator state of one node: per keyword, the
@@ -214,10 +198,10 @@ type miGlobal struct {
 	lastEmitSum float64
 }
 
-// miSearch is the merge coordinator. Besides the shared search plumbing it
-// keeps, per iterator, exactly the event-derived state the serial loop
-// would read from the live iterator: keyword index, the settled nodes
-// with their predecessors, and the current frontier-head distance.
+// miSearch is one MI-Backward search. Besides the shared search plumbing
+// it keeps, per iterator, the event-derived state the merge reads:
+// keyword index, the settled nodes with their predecessors, and the
+// current frontier-head distance.
 type miSearch struct {
 	canceller
 
@@ -227,9 +211,7 @@ type miSearch struct {
 	kw   [][]graph.NodeID
 	scr  *miScratch
 
-	// iters holds the live iterators. The coordinator drives them inline
-	// in serial mode; in parallel mode ownership passes to the workers at
-	// spawn and the coordinator must not touch them again.
+	// iters holds the live iterators.
 	iters []*miIterator
 	// Per-iterator merge state, indexed like iters.
 	kwOf []int
@@ -243,14 +225,6 @@ type miSearch struct {
 	stats *Stats
 	// sched orders iterators (by index) by their frontier-head distance.
 	sched *pqueue.Heap[int32]
-	// tabs[w] is the node → slot table of the iterators worker w owns
-	// (tabs[0] of all of them in serial mode).
-	tabs []*miTable
-
-	// source yields iterator idx's next event; it abstracts inline
-	// production (serial) from channel consumption (parallel) so run() is
-	// one implementation for both modes.
-	source func(idx int) (miEvent, bool)
 }
 
 func (m *miSearch) seed() {
@@ -269,16 +243,10 @@ func (m *miSearch) seed() {
 	}
 }
 
-// serialSource produces iterator idx's next event inline (Workers == 0).
-func (m *miSearch) serialSource(idx int) (miEvent, bool) {
-	var ev miEvent
-	ok := m.iters[idx].advance(m.g, &m.opts, m.tabs[0], &ev)
-	return ev, ok
-}
-
 func (m *miSearch) run() {
 	const boundEvery = 32
 	sinceBound := 0
+	var ev miEvent
 	for m.sched.Len() > 0 {
 		if m.out.full() {
 			return
@@ -292,13 +260,9 @@ func (m *miSearch) run() {
 		}
 		i, _, _ := m.sched.Pop()
 		idx := int(i)
-		ev, ok := m.source(idx)
-		if !ok {
-			// A scheduled iterator always has an event pending (it was
-			// re-queued with a live frontier head); this is reachable only
-			// on early producer shutdown.
-			break
-		}
+		// A scheduled iterator always has a live frontier head: it is
+		// re-queued only while its frontier is non-empty.
+		m.iters[idx].advance(m.g, &m.opts, &m.scr.tab, &ev)
 		m.applyEvent(idx, ev)
 		if ev.nextOK {
 			m.sched.Push(i, ev.nextD)
@@ -315,10 +279,10 @@ func (m *miSearch) run() {
 	m.out.flush()
 }
 
-// applyEvent merges one settle into the cross-iterator state, reproducing
-// the serial step's sequence of globally visible effects exactly: the
-// explored counter first (answer generation stamps read it), then the
-// reach recording and any emissions, then the expansion counters.
+// applyEvent merges one settle into the cross-iterator state, in a fixed
+// order: the explored counter first (answer generation stamps read it),
+// then the reach recording and any emissions, then the expansion
+// counters.
 func (m *miSearch) applyEvent(idx int, ev miEvent) {
 	seq := int32(len(m.chains[idx]))
 	m.chains[idx] = append(m.chains[idx], miLink{node: ev.v, pred: ev.pred})
@@ -391,8 +355,8 @@ func (m *miSearch) maybeEmit(v graph.NodeID, gn *miGlobal) {
 
 // emitCombination builds and buffers the answer rooted at v with keyword i
 // reached through iterator its[i], which settled v as its seqs[i]-th node.
-// Paths are rebuilt from the coordinator's per-iterator settle chains,
-// which hold exactly the settled nodes' final next hops.
+// Paths are rebuilt from the per-iterator settle chains, which hold
+// exactly the settled nodes' final next hops.
 func (m *miSearch) emitCombination(v graph.NodeID, its, seqs []int32) {
 	ps := &m.scr.paths
 	ps.reset()
@@ -410,8 +374,7 @@ func (m *miSearch) emitCombination(v graph.NodeID, its, seqs []int32) {
 
 // upperBound is the §4.5 bound adapted to multiple iterators: mᵢ is the
 // smallest next-frontier distance among keyword i's iterators, read from
-// the event-derived frontier heads (identical to peeking the live
-// frontiers in serial mode).
+// the event-derived frontier heads.
 func (m *miSearch) upperBound() (score, edge float64) {
 	var buf [MaxKeywords]float64
 	mi := buf[:m.nk]

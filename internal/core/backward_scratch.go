@@ -10,9 +10,9 @@ import (
 )
 
 // miScratch is the pooled per-search memory of MI-Backward: the
-// coordinator's dense per-node arrays (indexed by NodeID, sized from the
+// search's dense per-node arrays (indexed by NodeID, sized from the
 // View), the iterators with their record storage and settle chains, and
-// the owners' lookup tables, all reset in O(reached) on return to the
+// the node → slot lookup table, all reset in O(reached) on return to the
 // pool.
 type miScratch struct {
 	// bits[u] is the bitmask of keywords u matches; kw remembers the
@@ -25,15 +25,15 @@ type miScratch struct {
 	reached []graph.NodeID
 	globs   arena[miGlobal]
 
-	// iters holds the iterators. Their records, frontiers and the
-	// coordinator's settle chains start out in slices cut from the
-	// arenas below, as do the globs' slices.
+	// iters holds the iterators. Their records, frontiers and settle
+	// chains start out in slices cut from the arenas below, as do the
+	// globs' slices.
 	iters  arena[miIterator]
 	recs   arena[miRec]
 	ints   arena[int32]
 	floats arena[float64]
 	links  arena[miLink]
-	tabs   []*miTable
+	tab    miTable
 	sched  *pqueue.Heap[int32]
 	paths  pathSet
 }
@@ -80,15 +80,6 @@ func (s *miScratch) iterator(idx int, origin graph.NodeID) (*miIterator, []miLin
 	return it, s.links.take(miInitCap)[:0]
 }
 
-// tables returns n empty lookup tables, one per iterator owner. It must
-// be called before any owner starts.
-func (s *miScratch) tables(n int) []*miTable {
-	for len(s.tabs) < n {
-		s.tabs = append(s.tabs, &miTable{})
-	}
-	return s.tabs[:n]
-}
-
 // global returns v's cross-iterator record, creating it unreached by any
 // keyword.
 func (s *miScratch) global(v graph.NodeID, nk int) *miGlobal {
@@ -106,8 +97,7 @@ func (s *miScratch) global(v graph.NodeID, nk int) *miGlobal {
 	return gn
 }
 
-// put resets the scratch and returns it to the pool. It must only run
-// once no producer goroutine can touch an iterator any more.
+// put resets the scratch and returns it to the pool.
 func (s *miScratch) put() {
 	for _, kw := range s.kw {
 		for _, u := range kw {
@@ -126,21 +116,18 @@ func (s *miScratch) put() {
 	s.ints.reset(2*miRetainRecs, true)
 	s.floats.reset(miRetainRecs, false)
 	s.links.reset(miRetainRecs, false)
-	for i, t := range s.tabs {
-		if len(t.keys) > 2*miRetainRecs {
-			s.tabs[i] = &miTable{}
-		} else {
-			t.reset()
-		}
+	if len(s.tab.keys) > 2*miRetainRecs {
+		s.tab = miTable{}
+	} else {
+		s.tab.reset()
 	}
 	s.sched.Shrink(retainRecords)
 	miScratchPool.Put(s)
 }
 
 // miTable maps (iterator, node) pairs to iterator-local record slots. One
-// open-addressing table serves all the iterators of one owner (the
-// coordinator in serial mode, a worker in parallel mode), in place of a
-// hash map per iterator: thousands of small maps would each allocate and
+// open-addressing table serves all the iterators of a search, in place of
+// a hash map per iterator: thousands of small maps would each allocate and
 // grow on their own.
 type miTable struct {
 	// keys holds (iterator<<32 | node) + 1, 0 marking an empty cell;

@@ -1,16 +1,16 @@
 package core
 
-// Differential/property harness for intra-query parallelism: randomized
-// graphs, every algorithm, worker counts {1,2,4,8}, and deterministic
-// mid-search cancellation — parallel execution must be bit-identical to
-// serial in everything except wall-clock fields and Stats.WorkersUsed.
-// This is the enforcement behind the Options.Workers contract ("parallel
-// execution is bit-identical to serial"): the golden tests pin serial
-// output to the pre-parallelism implementation, and this harness pins
-// every parallel mode to serial.
+// Differential/property harness: randomized graphs, every algorithm,
+// several option shapes, and deterministic mid-search cancellation. The
+// serial signatures of the whole sweep are pinned by digest
+// (TestDifferentialSerialPinned), so any change to the search code that
+// moves an answer, a float bit, a counter or a truncation point fails
+// here; the golden tests pin the same outputs on the DBLP workload.
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math"
 	"math/rand"
@@ -22,16 +22,11 @@ import (
 	"banks/internal/graph"
 )
 
-// diffWorkerCounts are the worker counts the harness sweeps. 1 exercises
-// the full parallel machinery without parallel speedup; 8 exceeds the
-// iterator count of small queries (clamping paths).
-var diffWorkerCounts = []int{1, 2, 4, 8}
-
 // randomGraphSpec seeds one property-test case.
 type randomGraphSpec struct {
 	seed int64
-	// hub forces a node whose combined degree exceeds the (lowered) shard
-	// threshold so the sharded forward-expansion path runs.
+	// hub adds one node with about 48 extra out-edges, so expansions of a
+	// high-degree node are covered.
 	hub bool
 }
 
@@ -68,8 +63,7 @@ func buildRandomGraph(t testing.TB, spec randomGraphSpec) (*graph.Graph, [][]gra
 		}
 	}
 	if spec.hub {
-		// One dense hub: enough combined edges to clear the lowered shard
-		// threshold several partitions over.
+		// One dense hub.
 		hub := rng.Intn(n)
 		for j := 0; j < 48; j++ {
 			if other := rng.Intn(n); other != hub {
@@ -116,10 +110,8 @@ func buildRandomGraph(t testing.TB, spec randomGraphSpec) (*graph.Graph, [][]gra
 }
 
 // diffSignature renders everything deterministic about a result: the full
-// answer structure with exact float bits, plus every Stats field that the
-// serial/parallel contract covers. Wall-clock fields (Duration,
-// GeneratedAt, OutputAt) and WorkersUsed are excluded — they are the only
-// fields allowed to differ.
+// answer structure with exact float bits, plus every Stats counter and
+// flag. Wall-clock fields (Duration, GeneratedAt, OutputAt) are excluded.
 func diffSignature(res *Result) string {
 	var sb strings.Builder
 	s := res.Stats
@@ -151,123 +143,12 @@ func diffOptVariants() []Options {
 	}
 }
 
-// lowerShardThreshold drops the bidirectional shard gate so the random
-// graphs (which have hubs of ~50–100 combined edges) exercise the sharded
-// expansion path, restoring it when the test ends.
-func lowerShardThreshold(t testing.TB) {
-	t.Helper()
-	old := bidirShardMinDegree
-	bidirShardMinDegree = 8
-	t.Cleanup(func() { bidirShardMinDegree = old })
-}
-
-// TestDifferentialParallelMatchesSerial is the acceptance property: on
-// ≥ 50 randomized graphs, for every algorithm, option shape and worker
-// count, the parallel result is bit-identical to the serial one.
-func TestDifferentialParallelMatchesSerial(t *testing.T) {
-	lowerShardThreshold(t)
-	numGraphs := 60
-	if testing.Short() {
-		numGraphs = 12
-	}
-	for gi := 0; gi < numGraphs; gi++ {
-		spec := randomGraphSpec{seed: int64(1000 + gi), hub: gi%2 == 0}
-		g, kw := buildRandomGraph(t, spec)
-		for _, algo := range Algos() {
-			for vi, opts := range diffOptVariants() {
-				serialRes, err := Search(nil, g, algo, kw, opts)
-				if err != nil {
-					t.Fatalf("graph %d %s variant %d serial: %v", gi, algo, vi, err)
-				}
-				want := diffSignature(serialRes)
-				if serialRes.Stats.WorkersUsed != 0 {
-					t.Fatalf("graph %d %s variant %d: serial run reports WorkersUsed=%d", gi, algo, vi, serialRes.Stats.WorkersUsed)
-				}
-				for _, w := range diffWorkerCounts {
-					po := opts
-					po.Workers = w
-					parRes, err := Search(nil, g, algo, kw, po)
-					if err != nil {
-						t.Fatalf("graph %d %s variant %d workers %d: %v", gi, algo, vi, w, err)
-					}
-					if got := diffSignature(parRes); got != want {
-						t.Fatalf("graph %d (seed %d) %s variant %d workers %d diverged:\n--- serial ---\n%s--- parallel ---\n%s",
-							gi, spec.seed, algo, vi, w, want, got)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestDifferentialShallowBatches drives the adaptive-batch path the big
-// sweep cannot reach on small graphs: with the speculation budget lowered,
-// every query uses the minimum batch size, so batch boundaries, refills
-// and worker wakeups occur constantly — and results must still be
-// bit-identical.
-func TestDifferentialShallowBatches(t *testing.T) {
-	oldBudget := miSpecBudget
-	miSpecBudget = 1
-	t.Cleanup(func() { miSpecBudget = oldBudget })
-	for gi := 0; gi < 10; gi++ {
-		g, kw := buildRandomGraph(t, randomGraphSpec{seed: int64(3000 + gi), hub: true})
-		serialRes, err := MIBackward(nil, g, kw, Options{K: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := diffSignature(serialRes)
-		for _, w := range diffWorkerCounts {
-			parRes, err := MIBackward(nil, g, kw, Options{K: 8, Workers: w})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := diffSignature(parRes); got != want {
-				t.Fatalf("graph %d workers %d diverged with shallow batches:\n--- serial ---\n%s--- parallel ---\n%s",
-					gi, w, want, got)
-			}
-		}
-	}
-}
-
-// TestDifferentialNearIgnoresWorkers pins the documented fallback: Near
-// accepts Workers and returns results identical to serial.
-func TestDifferentialNearIgnoresWorkers(t *testing.T) {
-	for gi := 0; gi < 10; gi++ {
-		g, kw := buildRandomGraph(t, randomGraphSpec{seed: int64(7000 + gi)})
-		serialRes, serialStats, err := Near(nil, g, kw, Options{K: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, w := range diffWorkerCounts {
-			res, stats, err := Near(nil, g, kw, Options{K: 8, Workers: w})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if stats.WorkersUsed != 0 {
-				t.Fatalf("near workers %d: WorkersUsed=%d, want 0 (serial fallback)", w, stats.WorkersUsed)
-			}
-			if len(res) != len(serialRes) {
-				t.Fatalf("near workers %d: %d results vs %d serial", w, len(res), len(serialRes))
-			}
-			for i := range res {
-				if res[i] != serialRes[i] {
-					t.Fatalf("near workers %d result %d: %+v vs %+v", w, i, res[i], serialRes[i])
-				}
-			}
-			if stats.NodesExplored != serialStats.NodesExplored || stats.NodesTouched != serialStats.NodesTouched {
-				t.Fatalf("near workers %d stats diverged", w)
-			}
-		}
-	}
-}
-
 // countingCtx is a context whose Err flips to Canceled after a fixed
 // number of Err consultations. The search cancellers consult Err at a
-// deterministic, data-dependent cadence that is identical in serial and
-// parallel mode (only the coordinator ever consults the context), so a
-// countingCtx cancels serial and parallel runs at exactly the same merge
-// position — which is what makes truncation exactly comparable, where a
-// wall-clock deadline would be racy.
+// deterministic, data-dependent cadence, so a countingCtx cancels a search
+// at exactly the same position every run — which is what makes truncated
+// results reproducible (and pinnable), where a wall-clock deadline would
+// be racy.
 type countingCtx struct {
 	calls atomic.Int64
 	limit int64
@@ -321,35 +202,13 @@ func buildCancellationGraph(t testing.TB, seed int64) (*graph.Graph, [][]graph.N
 	return g, kw
 }
 
-// TestDifferentialCancellation proves the Truncated-prefix contract under
-// mid-search cancellation: with a deterministic cancellation point, the
-// parallel run reports the same Truncated flag, the same partial top-k
-// prefix, and the same counters as the serial run — and shuts its workers
-// down cleanly (a leak or deadlock would hang the test).
+// TestDifferentialCancellation checks that the cancellation sweep of
+// TestDifferentialSerialPinned covers both regimes: a small limit
+// truncates mid-search and an uncancelled run does not.
 func TestDifferentialCancellation(t *testing.T) {
-	lowerShardThreshold(t)
 	for gi := 0; gi < 6; gi++ {
 		g, kw := buildCancellationGraph(t, int64(9000+gi))
 		for _, algo := range Algos() {
-			for _, limit := range []int64{0, 1, 2, 4, 8} {
-				serialRes, err := Search(&countingCtx{limit: limit}, g, algo, kw, Options{K: 10})
-				if err != nil {
-					t.Fatalf("%s limit %d serial: %v", algo, limit, err)
-				}
-				want := diffSignature(serialRes)
-				for _, w := range diffWorkerCounts {
-					parRes, err := Search(&countingCtx{limit: limit}, g, algo, kw, Options{K: 10, Workers: w})
-					if err != nil {
-						t.Fatalf("%s limit %d workers %d: %v", algo, limit, w, err)
-					}
-					if got := diffSignature(parRes); got != want {
-						t.Fatalf("graph %d %s limit %d workers %d diverged under cancellation:\n--- serial ---\n%s--- parallel ---\n%s",
-							gi, algo, limit, w, want, got)
-					}
-				}
-			}
-			// Sanity: a small limit must actually truncate mid-search and a
-			// huge one must not, so the sweep covers both regimes.
 			full, err := Search(context.Background(), g, algo, kw, Options{K: 10})
 			if err != nil {
 				t.Fatal(err)
@@ -367,3 +226,50 @@ func TestDifferentialCancellation(t *testing.T) {
 		}
 	}
 }
+
+// serialPinnedDigests are SHA-256 digests, per algorithm, of every
+// diffSignature the serial harness produces: the 60 random graphs under
+// each of the diffOptVariants shapes, then the countingCtx cancellation
+// sweep. They were taken before the intra-query parallel paths (parallel
+// MI-Backward, sharded Bidirectional forward expansion) were removed, when
+// this harness still proved those paths bit-identical to serial; any edit
+// to the search code that changes an answer, a float bit, a counter or a
+// truncation point fails here.
+var serialPinnedDigests = map[Algo]string{
+	AlgoBidirectional: "cdd76ddfc57731dee8d6c0c3d1bf87756add7b3fa87f4c09fccf99194a61dc87",
+	AlgoSIBackward:    "23536d77c54568438f5b387c254ffe9fc60ff80338dadc444866e974ca93f4be",
+	AlgoMIBackward:    "5b4473229e6a6ba31eabdb695d8028aa3df5bdd019e6648bbd5863ac0ca35213",
+}
+
+// TestDifferentialSerialPinned pins the random-graph harness bit for bit.
+func TestDifferentialSerialPinned(t *testing.T) {
+	for _, algo := range Algos() {
+		h := sha256.New()
+		for gi := 0; gi < 60; gi++ {
+			g, kw := buildRandomGraph(t, randomGraphSpec{seed: int64(1000 + gi), hub: gi%2 == 0})
+			for vi, opts := range diffOptVariants() {
+				res, err := Search(nil, g, algo, kw, opts)
+				if err != nil {
+					t.Fatalf("graph %d %s variant %d: %v", gi, algo, vi, err)
+				}
+				fmt.Fprintf(h, "graph %d variant %d\n%s", gi, vi, diffSignature(res))
+			}
+		}
+		for gi := 0; gi < 6; gi++ {
+			g, kw := buildCancellationGraph(t, int64(9000+gi))
+			for _, limit := range diffCancelLimits {
+				res, err := Search(&countingCtx{limit: limit}, g, algo, kw, Options{K: 10})
+				if err != nil {
+					t.Fatalf("cancel graph %d %s limit %d: %v", gi, algo, limit, err)
+				}
+				fmt.Fprintf(h, "cancel graph %d limit %d\n%s", gi, limit, diffSignature(res))
+			}
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != serialPinnedDigests[algo] {
+			t.Errorf("%s: serial signature digest %s, pinned %s", algo, got, serialPinnedDigests[algo])
+		}
+	}
+}
+
+// diffCancelLimits are the countingCtx limits the cancellation sweep uses.
+var diffCancelLimits = []int64{0, 1, 2, 4, 8}

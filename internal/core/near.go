@@ -30,12 +30,6 @@ type NearResult struct {
 //
 // ctx bounds the spreading loop: on expiry the nodes activated so far are
 // ranked and returned with Stats.Truncated set.
-//
-// Options.Workers is accepted but ignored (Stats.WorkersUsed stays 0):
-// activation spreading pops nodes in activation order and every pop
-// depends on the sums the previous pops accumulated, so the documented
-// fallback is serial execution with results identical to any requested
-// worker count.
 func Near(ctx context.Context, g graph.View, keywords [][]graph.NodeID, opts Options) ([]NearResult, Stats, error) {
 	opts = opts.withDefaults()
 	opts.ActivationSum = true

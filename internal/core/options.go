@@ -11,7 +11,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
 	"banks/internal/graph"
@@ -22,23 +21,27 @@ import (
 // state compact.
 const MaxKeywords = 16
 
-// MaxWorkers caps Options.Workers. Larger requests are clamped here (a
-// documented fallback, not an error): beyond this point extra goroutines
-// only add scheduling overhead, and the cap keeps a forged or buggy
-// request from spawning unbounded goroutines per query.
-const MaxWorkers = 64
-
 // OptionsError reports an invalid Options field. Every validation failure
 // returned by the search entry points for bad options is of this type, so
 // callers can test with errors.As and switch on Field.
 type OptionsError struct {
-	// Field names the offending Options field (e.g. "Workers").
+	// Field names the offending Options field (e.g. "Mu").
 	Field string
 	// Reason describes the constraint that was violated.
 	Reason string
 }
 
 func (e *OptionsError) Error() string { return "core: " + e.Field + " " + e.Reason }
+
+// InputError reports a query the search entry points cannot run: no
+// keyword sets, more than MaxKeywords of them, a keyword node outside the
+// graph, or no graph at all. Callers can test for it with errors.As.
+type InputError struct {
+	// Reason describes what is wrong with the input.
+	Reason string
+}
+
+func (e *InputError) Error() string { return "core: " + e.Reason }
 
 // Default parameter values from the paper (§2.3, §4.2, §5.1).
 const (
@@ -66,22 +69,6 @@ type Options struct {
 	// unlimited. When exhausted the search flushes buffered answers and
 	// returns what it has.
 	MaxNodes int
-	// Workers selects intra-query parallelism: the number of worker
-	// goroutines the search may use in addition to the coordinating
-	// goroutine. 0 (the default) runs the fully serial implementation;
-	// values ≥ 1 run the parallel machinery with that many workers (1 is
-	// useful for exercising the machinery — it adds coordination overhead
-	// without parallel speedup). Parallel execution is bit-identical to
-	// serial by construction: answers, scores, orderings and all
-	// deterministic Stats counters are unchanged; only wall-clock fields
-	// and Stats.WorkersUsed differ. Bidirectional and MIBackward use
-	// workers; SIBackward and Near are inherently sequential and ignore
-	// the field (documented fallback, never an error). Values above
-	// MaxWorkers are clamped; negative values are rejected with an
-	// *OptionsError. When Workers ≥ 1, EdgeFilter and EdgePriority are
-	// called from worker goroutines and must be pure and safe for
-	// concurrent use (they are already required to be deterministic).
-	Workers int
 	// StrictBound selects the tighter upper-bound computation of §4.5
 	// (tracking seen-but-incomplete nodes, NRA-style). The default (false)
 	// is the paper's "looser heuristic" — cheaper, outputs faster, and
@@ -98,7 +85,8 @@ type Options struct {
 	EdgeFilter func(t graph.EdgeType, forward bool) bool
 	// EdgePriority, when non-nil, multiplies the activation spread across
 	// an edge (the §1 extension "prioritize certain paths over others").
-	// It does not affect distances or scores, only search order.
+	// It does not affect distances or scores, only search order. Both
+	// callbacks run on the goroutine running the search.
 	EdgePriority func(t graph.EdgeType, forward bool) float64
 	// Emit, when non-nil, is invoked synchronously at the exact moment the
 	// output heap releases an answer (§5.2's "output" event), on the
@@ -122,9 +110,7 @@ type Options struct {
 // Normalized returns the options with zero values replaced by the paper's
 // defaults — the form the algorithms actually run with. Two Options values
 // with equal Normalized() forms describe the same search, which the engine
-// result cache relies on for canonical keys. (Workers is normalized only
-// by clamping to MaxWorkers: it never changes what a search returns, only
-// how many goroutines compute it, so cache keys may ignore it.)
+// result cache relies on for canonical keys.
 func (o Options) Normalized() Options { return o.withDefaults() }
 
 func (o Options) withDefaults() Options {
@@ -139,9 +125,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.DMax == 0 {
 		o.DMax = DefaultDMax
-	}
-	if o.Workers > MaxWorkers {
-		o.Workers = MaxWorkers
 	}
 	return o
 }
@@ -173,9 +156,6 @@ func (o Options) validate() error {
 	if o.MaxNodes < 0 {
 		return &OptionsError{Field: "MaxNodes", Reason: "must be non-negative"}
 	}
-	if o.Workers < 0 {
-		return &OptionsError{Field: "Workers", Reason: "must be non-negative"}
-	}
 	return nil
 }
 
@@ -183,19 +163,19 @@ func validateInput(g graph.View, keywords [][]graph.NodeID) error {
 	// The typed-nil check catches callers passing a nil *graph.Graph
 	// through the View interface (non-nil interface, nil concrete value).
 	if g == nil || g == (graph.View)((*graph.Graph)(nil)) {
-		return errors.New("core: nil graph")
+		return &InputError{Reason: "nil graph"}
 	}
 	if len(keywords) == 0 {
-		return errors.New("core: no keywords")
+		return &InputError{Reason: "no keywords"}
 	}
 	if len(keywords) > MaxKeywords {
-		return fmt.Errorf("core: %d keywords exceeds maximum %d", len(keywords), MaxKeywords)
+		return &InputError{Reason: fmt.Sprintf("%d keywords exceeds maximum %d", len(keywords), MaxKeywords)}
 	}
 	n := graph.NodeID(g.NumNodes())
 	for i, s := range keywords {
 		for _, u := range s {
 			if u < 0 || u >= n {
-				return fmt.Errorf("core: keyword %d matches node %d outside graph", i, u)
+				return &InputError{Reason: fmt.Sprintf("keyword %d matches node %d outside graph", i, u)}
 			}
 		}
 	}

@@ -26,8 +26,6 @@ func TestOptionsValidationTyped(t *testing.T) {
 		{"NaN Lambda", Options{Lambda: math.NaN()}, "Lambda"},
 		{"negative DMax", Options{DMax: -2}, "DMax"},
 		{"negative MaxNodes", Options{MaxNodes: -7}, "MaxNodes"},
-		{"negative Workers", Options{Workers: -1}, "Workers"},
-		{"very negative Workers", Options{Workers: -1 << 40}, "Workers"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -53,98 +51,41 @@ func TestOptionsValidationTyped(t *testing.T) {
 	}
 }
 
-// TestOptionsHugeWorkersClamped pins the documented fallback for
-// oversized Workers requests: clamped to MaxWorkers (further clamped to
-// the iterator count by MIBackward), never an error or a goroutine storm.
-func TestOptionsHugeWorkersClamped(t *testing.T) {
-	g, kw := grayGraph(t)
-	if n := (Options{Workers: 1 << 30}).Normalized().Workers; n != MaxWorkers {
-		t.Fatalf("Normalized Workers = %d, want MaxWorkers (%d)", n, MaxWorkers)
-	}
-	serial, err := Search(nil, g, AlgoMIBackward, kw, Options{K: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Search(nil, g, AlgoMIBackward, kw, Options{K: 5, Workers: 1 << 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.WorkersUsed < 1 || res.Stats.WorkersUsed > MaxWorkers {
-		t.Fatalf("WorkersUsed = %d, want within [1,%d]", res.Stats.WorkersUsed, MaxWorkers)
-	}
-	if got, want := diffSignature(res), diffSignature(serial); got != want {
-		t.Fatalf("huge-Workers run diverged from serial:\n--- serial ---\n%s--- clamped ---\n%s", want, got)
-	}
-}
-
 // TestOptionsEmptyKeywordGroup pins the documented fallback for a keyword
-// matching no nodes: an empty (non-error) result, in serial and parallel
-// mode alike — no answer can contain the keyword, so none exists.
+// matching no nodes: an empty (non-error) result — no answer can contain
+// the keyword, so none exists.
 func TestOptionsEmptyKeywordGroup(t *testing.T) {
 	g, _ := grayGraph(t)
 	kw := [][]graph.NodeID{{0}, {}}
-	for _, w := range []int{0, 4} {
-		for _, algo := range Algos() {
-			res, err := Search(nil, g, algo, kw, Options{K: 5, Workers: w})
-			if err != nil {
-				t.Fatalf("%s workers %d: %v", algo, w, err)
-			}
-			if len(res.Answers) != 0 {
-				t.Fatalf("%s workers %d: %d answers for an unmatched keyword", algo, w, len(res.Answers))
-			}
-		}
-		nr, _, err := Near(nil, g, kw, Options{K: 5, Workers: w})
+	for _, algo := range Algos() {
+		res, err := Search(nil, g, algo, kw, Options{K: 5})
 		if err != nil {
-			t.Fatalf("near workers %d: %v", w, err)
+			t.Fatalf("%s: %v", algo, err)
 		}
-		if len(nr) != 0 {
-			t.Fatalf("near workers %d: %d results for an unmatched keyword", w, len(nr))
+		if len(res.Answers) != 0 {
+			t.Fatalf("%s: %d answers for an unmatched keyword", algo, len(res.Answers))
 		}
+	}
+	nr, _, err := Near(nil, g, kw, Options{K: 5})
+	if err != nil {
+		t.Fatalf("near: %v", err)
+	}
+	if len(nr) != 0 {
+		t.Fatalf("near: %d results for an unmatched keyword", len(nr))
 	}
 }
 
-// TestOptionsZeroKDefaults pins the documented fallback K == 0 → DefaultK
-// (and that parallel mode honours it identically).
+// TestOptionsZeroKDefaults pins the documented fallback K == 0 → DefaultK.
 func TestOptionsZeroKDefaults(t *testing.T) {
 	g, kw := grayGraph(t)
-	for _, w := range []int{0, 4} {
-		for _, algo := range Algos() {
-			res, err := Search(nil, g, algo, kw, Options{Workers: w})
-			if err != nil {
-				t.Fatalf("%s workers %d: %v", algo, w, err)
-			}
-			if len(res.Answers) == 0 || len(res.Answers) > DefaultK {
-				t.Fatalf("%s workers %d: %d answers, want 1..%d (K=0 defaults to %d)",
-					algo, w, len(res.Answers), DefaultK, DefaultK)
-			}
+	for _, algo := range Algos() {
+		res, err := Search(nil, g, algo, kw, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", algo, err)
 		}
-	}
-}
-
-// TestOptionsNearWithParallelism pins the Near fallback end to end: a
-// worker request is accepted, ignored, and changes nothing.
-func TestOptionsNearWithParallelism(t *testing.T) {
-	g, kw := grayGraph(t)
-	serial, serialStats, err := Near(nil, g, kw, Options{K: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, stats, err := Near(nil, g, kw, Options{K: 5, Workers: 8})
-	if err != nil {
-		t.Fatalf("near with Workers: %v", err)
-	}
-	if stats.WorkersUsed != 0 {
-		t.Fatalf("near WorkersUsed = %d, want 0", stats.WorkersUsed)
-	}
-	if len(res) != len(serial) {
-		t.Fatalf("near with Workers returned %d results, serial %d", len(res), len(serial))
-	}
-	for i := range res {
-		if res[i] != serial[i] {
-			t.Fatalf("near result %d diverged: %+v vs %+v", i, res[i], serial[i])
+		if len(res.Answers) == 0 || len(res.Answers) > DefaultK {
+			t.Fatalf("%s: %d answers, want 1..%d (K=0 defaults to %d)",
+				algo, len(res.Answers), DefaultK, DefaultK)
 		}
-	}
-	if stats.NodesExplored != serialStats.NodesExplored {
-		t.Fatal("near stats diverged under Workers")
 	}
 }

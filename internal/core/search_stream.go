@@ -14,8 +14,8 @@ import "time"
 // The contract, enforced by the differential harness in
 // search_stream_test.go: the emitted sequence is bit-identical — answers,
 // scores, order — to the Result.Answers of the same search, for every
-// algorithm, option shape and worker count, including truncated prefixes
-// under mid-search cancellation. This holds by construction: Emit fires
+// algorithm and option shape, including truncated prefixes under
+// mid-search cancellation. This holds by construction: Emit fires
 // inside outputHeap.release, the single funnel every released answer
 // passes through (drain, flush and releaseBuilt all end there), at the
 // exact moment the answer is appended to the output slice.

@@ -1,8 +1,8 @@
 package core
 
 // Differential harness for the streaming seam: over the random-graph
-// corpus of the parallelism harness, for every algorithm, option shape
-// and worker count, the sequence delivered through Options.Emit must be
+// corpus of the differential harness, for every algorithm and option
+// shape, the sequence delivered through Options.Emit must be
 // bit-identical — answers, scores, order, per-answer counters — to the
 // batch Result.Answers of the same search, including truncated prefixes
 // under deterministic mid-stream cancellation.
@@ -15,11 +15,6 @@ import (
 
 	"banks/internal/graph"
 )
-
-// streamWorkerCounts is the worker sweep of the stream harness: serial,
-// the full parallel machinery without speedup, and a genuinely parallel
-// schedule.
-var streamWorkerCounts = []int{0, 1, 4}
 
 // collectStream runs a search with an Emit collector installed and
 // returns the emissions alongside the batch result of the same run.
@@ -69,10 +64,9 @@ func checkStreamMatchesBatch(t *testing.T, label string, got []EmittedAnswer, ow
 }
 
 // TestStreamMatchesBatch is the acceptance property of the streaming
-// subsystem: for every graph/algorithm/option/worker case, the collected
+// subsystem: for every graph/algorithm/option case, the collected
 // stream equals the batch answers bit-for-bit.
 func TestStreamMatchesBatch(t *testing.T) {
-	lowerShardThreshold(t)
 	numGraphs := 30
 	if testing.Short() {
 		numGraphs = 8
@@ -85,14 +79,10 @@ func TestStreamMatchesBatch(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, w := range streamWorkerCounts {
-					so := opts
-					so.Workers = w
-					got, own := collectStream(t, nil, g, algo, kw, so)
-					checkStreamMatchesBatch(t,
-						fmt.Sprintf("graph %d %s variant %d workers %d", gi, algo, vi, w),
-						got, own, batch)
-				}
+				got, own := collectStream(t, nil, g, algo, kw, opts)
+				checkStreamMatchesBatch(t,
+					fmt.Sprintf("graph %d %s variant %d", gi, algo, vi),
+					got, own, batch)
 			}
 		}
 	}
@@ -104,7 +94,6 @@ func TestStreamMatchesBatch(t *testing.T) {
 // exactly the answers a batch caller would have received, delivered
 // early.
 func TestStreamCancellationPrefix(t *testing.T) {
-	lowerShardThreshold(t)
 	for gi := 0; gi < 4; gi++ {
 		g, kw := buildCancellationGraph(t, int64(11000+gi))
 		for _, algo := range Algos() {
@@ -114,16 +103,14 @@ func TestStreamCancellationPrefix(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, w := range streamWorkerCounts {
-					got, own := collectStream(t, &countingCtx{limit: limit}, g, algo, kw, Options{K: 10, Workers: w})
-					if own.Stats.Truncated != batch.Stats.Truncated {
-						t.Fatalf("%s limit %d workers %d: Truncated=%v, batch %v",
-							algo, limit, w, own.Stats.Truncated, batch.Stats.Truncated)
-					}
-					checkStreamMatchesBatch(t,
-						fmt.Sprintf("graph %d %s limit %d workers %d (cancelled)", gi, algo, limit, w),
-						got, own, batch)
+				got, own := collectStream(t, &countingCtx{limit: limit}, g, algo, kw, Options{K: 10})
+				if own.Stats.Truncated != batch.Stats.Truncated {
+					t.Fatalf("%s limit %d: Truncated=%v, batch %v",
+						algo, limit, own.Stats.Truncated, batch.Stats.Truncated)
 				}
+				checkStreamMatchesBatch(t,
+					fmt.Sprintf("graph %d %s limit %d (cancelled)", gi, algo, limit),
+					got, own, batch)
 				truncatedOnce = truncatedOnce || batch.Stats.Truncated
 			}
 			// Sanity: the sweep must actually cover the truncated regime.

@@ -17,11 +17,6 @@ import (
 //
 // ctx bounds the search exactly as in Bidirectional: on expiry the partial
 // top-k accumulated so far is returned with Stats.Truncated set.
-//
-// Options.Workers is accepted but ignored (Stats.WorkersUsed stays 0):
-// the single merged iterator is an inherently sequential fixpoint, so the
-// documented fallback is serial execution with results identical to any
-// requested worker count.
 func SIBackward(ctx context.Context, g graph.View, keywords [][]graph.NodeID, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	if err := opts.validate(); err != nil {

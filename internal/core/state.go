@@ -214,7 +214,7 @@ func (sc *searchContext) tick() { sc.now = time.Since(sc.start) }
 // without repeats. Frontiers must be seeded in deterministic order: any
 // other order would leak into heap tie-breaking and make equal-score
 // answer orderings vary run to run, which the golden regression tests and
-// the concurrent-vs-serial equivalence tests forbid.
+// the pinned differential harness forbid.
 func (sc *searchContext) seedNodes() []graph.NodeID { return sc.scr.seeds }
 
 // kwBits returns the keyword bitmask of node u.

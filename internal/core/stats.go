@@ -36,12 +36,6 @@ type Stats struct {
 	// LastOutput is when the last answer was released from the output
 	// buffer.
 	LastOutput time.Duration
-	// WorkersUsed is the number of intra-query worker goroutines the
-	// search actually ran with (0 = fully serial execution). It is the
-	// only Stats field allowed to differ between serial and parallel runs
-	// of the same query: everything else — answers, scores, orderings and
-	// counters — is identical by the lock-step merge contract.
-	WorkersUsed int
 	// BudgetExhausted reports that MaxNodes stopped the search early.
 	BudgetExhausted bool
 	// Truncated reports that context cancellation or deadline expiry

@@ -22,7 +22,7 @@ import (
 // Some searches are cancelled mid-run, leaving their scratch full of
 // state, and the searches after them reuse it. Every completed answer
 // list must stay bit-identical to the same search over a from-scratch
-// Build, for all three algorithms at workers 0 and 4, plus Near.
+// Build, for all three algorithms plus Near.
 func TestPooledScratchAcrossViews(t *testing.T) {
 	const mode = PrestigeUniform
 	rng := rand.New(rand.NewSource(17))
@@ -83,8 +83,7 @@ func TestPooledScratchAcrossViews(t *testing.T) {
 		{"overlay", srcOver, g1, func(term string) []graph.NodeID { return ref.seeds(ix1, term) }},
 	}
 
-	// The cache is off so every call runs a search (and takes a scratch);
-	// five slots let a workers=4 query get its full grant.
+	// The cache is off so every call runs a search (and takes a scratch).
 	eng, err := engine.New(g0, ix0, engine.Options{Workers: 5, CacheSize: -1})
 	if err != nil {
 		t.Fatal(err)
@@ -106,34 +105,32 @@ func TestPooledScratchAcrossViews(t *testing.T) {
 				w := worlds[(wi+qi+round)%2]
 				eng.Swap(w.src)
 				for _, algo := range core.Algos() {
-					for _, workers := range []int{0, 4} {
-						opts := core.Options{K: 8, Workers: workers}
-						want, err := core.Search(context.Background(), w.refG, algo, refKeywords(w, terms), opts)
-						if err != nil {
-							t.Fatal(err)
-						}
+					opts := core.Options{K: 8}
+					want, err := core.Search(context.Background(), w.refG, algo, refKeywords(w, terms), opts)
+					if err != nil {
+						t.Fatal(err)
+					}
 
-						// A run cancelled from inside its first emission:
-						// the search stops with state still queued.
-						ctx, cancel := context.WithCancel(context.Background())
-						copts := core.Options{K: 50, Workers: workers, Emit: func(core.EmittedAnswer) { cancel() }}
-						cres, err := eng.Search(ctx, engine.Query{Terms: terms, Algo: algo, Opts: copts})
-						cancel()
-						if err != nil {
-							t.Fatalf("%s %s %v cancelled run: %v", w.name, algo, terms, err)
-						}
-						if cres.Stats.Truncated {
-							cut++
-						}
+					// A run cancelled from inside its first emission:
+					// the search stops with state still queued.
+					ctx, cancel := context.WithCancel(context.Background())
+					copts := core.Options{K: 50, Emit: func(core.EmittedAnswer) { cancel() }}
+					cres, err := eng.Search(ctx, engine.Query{Terms: terms, Algo: algo, Opts: copts})
+					cancel()
+					if err != nil {
+						t.Fatalf("%s %s %v cancelled run: %v", w.name, algo, terms, err)
+					}
+					if cres.Stats.Truncated {
+						cut++
+					}
 
-						got, err := eng.Search(context.Background(), engine.Query{Terms: terms, Algo: algo, Opts: opts})
-						if err != nil {
-							t.Fatal(err)
-						}
-						if gs, ws := diffSignature(got), diffSignature(want); gs != ws {
-							t.Fatalf("%s %s workers=%d %v: pooled search diverged from rebuild\npooled:\n%s\nrebuild:\n%s",
-								w.name, algo, workers, terms, gs, ws)
-						}
+					got, err := eng.Search(context.Background(), engine.Query{Terms: terms, Algo: algo, Opts: opts})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if gs, ws := diffSignature(got), diffSignature(want); gs != ws {
+						t.Fatalf("%s %s %v: pooled search diverged from rebuild\npooled:\n%s\nrebuild:\n%s",
+							w.name, algo, terms, gs, ws)
 					}
 				}
 				wantNear, _, err := core.Near(context.Background(), w.refG, refKeywords(w, terms), core.Options{K: 8})

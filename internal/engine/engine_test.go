@@ -339,37 +339,6 @@ func TestSearchBatch(t *testing.T) {
 	}
 }
 
-// TestWorkersUsable pins the grant clamp: no slots for algorithms that
-// ignore Workers, at most the iterator count for MI-Backward, none for
-// Bidirectional on a hub-free graph, and never more than core.MaxWorkers
-// — the pool must not reserve slots a search cannot employ.
-func TestWorkersUsable(t *testing.T) {
-	kw2 := [][]graph.NodeID{{1}, {2}} // 2 MI iterators
-	hub := core.BidirShardMinDegree()
-	cases := []struct {
-		algo      core.Algo
-		requested int
-		kw        [][]graph.NodeID
-		maxDeg    int
-		want      int
-	}{
-		{core.AlgoSIBackward, 8, kw2, hub, 0},
-		{core.AlgoMIBackward, 8, kw2, hub, 2},
-		{core.AlgoMIBackward, 1, kw2, hub, 1},
-		{core.AlgoBidirectional, 8, kw2, hub, 8},
-		{core.AlgoBidirectional, 8, kw2, hub - 1, 0},
-		{core.AlgoBidirectional, core.MaxWorkers + 100, kw2, hub, core.MaxWorkers},
-		{core.AlgoMIBackward, 0, kw2, hub, 0},
-		{core.AlgoMIBackward, -3, kw2, hub, 0},
-		{core.Algo("bogus"), 8, kw2, hub, 0},
-	}
-	for _, tc := range cases {
-		if got := workersUsable(tc.algo, tc.requested, tc.kw, func() int { return tc.maxDeg }); got != tc.want {
-			t.Errorf("workersUsable(%s, %d, maxDeg %d) = %d, want %d", tc.algo, tc.requested, tc.maxDeg, got, tc.want)
-		}
-	}
-}
-
 // TestSingleFlight fires identical cacheable queries at once, half through
 // Search and half through SearchStream: exactly one search may run (one
 // miss), and every caller must get that search's answers.

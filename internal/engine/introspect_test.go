@@ -24,8 +24,8 @@ func TestCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := e.Search(context.Background(), Query{Terms: []string{"alpha"}, Algo: core.AlgoBidirectional,
-		Opts: core.Options{Workers: -1}}); err == nil {
-		t.Fatal("negative workers accepted")
+		Opts: core.Options{K: -1}}); err == nil {
+		t.Fatal("negative K accepted")
 	}
 	if _, _, err := e.Near(context.Background(), []string{"alpha", "omega"}, core.Options{K: 3}); err != nil {
 		t.Fatal(err)

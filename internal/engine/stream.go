@@ -216,22 +216,8 @@ func (e *Engine) SearchStream(ctx context.Context, q Query, so StreamOptions) (*
 	for i, t := range terms {
 		kw[i] = src.lookup(t)
 	}
-	// Opportunistic intra-query worker grant, identical to Search.
-	granted := 0
-	if want := workersUsable(q.Algo, q.Opts.Workers, kw, src.maxDeg); want > 0 {
-		for granted < want {
-			select {
-			case e.sem <- struct{}{}:
-				granted++
-				continue
-			default:
-			}
-			break
-		}
-	}
-	q.Opts.Workers = granted
 
-	go e.runStream(runCtx, cancel, st, src, q, kw, so, key, lead, granted)
+	go e.runStream(runCtx, cancel, st, src, q, kw, so, key, lead)
 	return st, nil
 }
 
@@ -250,7 +236,7 @@ func knownAlgo(a core.Algo) bool {
 // through the core Emit seam. lead is the stream's flight (nil when the
 // query is not cacheable), landed as soon as the search ends.
 func (e *Engine) runStream(ctx context.Context, cancel context.CancelFunc, st *Stream,
-	src *Source, q Query, kw [][]graph.NodeID, so StreamOptions, key cacheKey, lead *flight, granted int) {
+	src *Source, q Query, kw [][]graph.NodeID, so StreamOptions, key cacheKey, lead *flight) {
 	defer cancel()
 
 	// sent and degraded are touched only by the Emit callback and the
@@ -284,11 +270,9 @@ func (e *Engine) runStream(ctx context.Context, cancel context.CancelFunc, st *S
 
 	res, err := core.Search(ctx, src.graph, q.Algo, kw, opts)
 
-	// The search is over: return the pool slots before tail delivery,
+	// The search is over: return the pool slot before tail delivery,
 	// which runs at the consumer's pace and must not hold pool capacity.
-	for i := 0; i <= granted; i++ {
-		<-e.sem
-	}
+	<-e.sem
 	// Land the flight before tail delivery too, so waiters do not wait on
 	// this consumer. The cache policy matches Search: complete results
 	// only. A delivery cut does not poison the result — the search itself

@@ -47,7 +47,7 @@ func Ablations(cfg Config) ([]AblationRow, error) {
 		return nil, fmt.Errorf("experiments: no ablation queries")
 	}
 
-	base := core.Options{K: cfg.K, MaxNodes: cfg.MaxNodes, Workers: cfg.Workers}
+	base := core.Options{K: cfg.K, MaxNodes: cfg.MaxNodes}
 	var rows []AblationRow
 
 	run := func(dim, variant string, opts core.Options) error {

@@ -48,11 +48,6 @@ type Config struct {
 	MaxNodes int
 	// Seed drives workload sampling.
 	Seed int64
-	// Workers is the intra-query parallelism passed to every search
-	// (core.Options.Workers): 0 runs serial; results are bit-identical
-	// either way, so the measured §5.2 counters are comparable across
-	// Workers settings while durations reflect the parallelism.
-	Workers int
 	// SnapshotDir, when set, caches each built graph+index as a snapshot
 	// file in this directory: the first run of a (dataset, factor) pair
 	// writes it, later runs mmap it and skip conversion, indexing and
@@ -226,7 +221,7 @@ func Measure(res *core.Result, q *workload.Query) RunMetrics {
 
 // runAlgo executes one algorithm on a query with the experiment options.
 func runAlgo(env *Env, q *workload.Query, algo string, cfg Config) (*core.Result, error) {
-	opts := core.Options{K: cfg.K, MaxNodes: cfg.MaxNodes, Workers: cfg.Workers}
+	opts := core.Options{K: cfg.K, MaxNodes: cfg.MaxNodes}
 	return core.Search(nil, env.Built.Graph, core.Algo(algo), q.Keywords, opts)
 }
 

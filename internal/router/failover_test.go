@@ -105,10 +105,37 @@ func deployReplicated(t *testing.T, o repOpts) *repDeployment {
 	// Wait out the router's one-shot initial probe round (ProbeInterval
 	// -1 disables the periodic ones): a probe result landing mid-test
 	// would re-promote a replica the test just demoted.
-	waitStatusz(t, d.router.URL, func(doc map[string]any) bool {
-		return doc["all_healthy"] == true
-	})
+	waitReplicasHealthy(t, d.router.URL)
 	return d
+}
+
+// waitReplicasHealthy waits until every replica row of the router's
+// /statusz reports healthy, i.e. until the initial probe of each replica
+// has landed. all_healthy is not enough: it holds as soon as one replica
+// per shard is healthy, and replicas start unhealthy until probed, so a
+// test that faults replica 0 could otherwise see its query routed to
+// replica 1 before replica 0 was ever probed — and no failover.
+func waitReplicasHealthy(t *testing.T, routerURL string) {
+	t.Helper()
+	waitStatusz(t, routerURL, func(doc map[string]any) bool {
+		shards, _ := doc["shards"].([]any)
+		if len(shards) == 0 {
+			return false
+		}
+		for _, s := range shards {
+			row, _ := s.(map[string]any)
+			reps, _ := row["replicas"].([]any)
+			if len(reps) == 0 {
+				return false
+			}
+			for _, r := range reps {
+				if rep, _ := r.(map[string]any); rep["healthy"] != true {
+					return false
+				}
+			}
+		}
+		return true
+	})
 }
 
 // assertIdenticalBatch compares the routed /v1/search body to the
@@ -357,9 +384,7 @@ func TestTrailerAggregationUnderFailover(t *testing.T) {
 	t.Cleanup(rts.Close)
 	// Let the one-shot initial probe round finish so a late probe result
 	// cannot re-promote the replica the first query demotes.
-	waitStatusz(t, rts.URL, func(doc map[string]any) bool {
-		return doc["all_healthy"] == true
-	})
+	waitReplicasHealthy(t, rts.URL)
 
 	path := "/v1/search/stream?q=" + url.QueryEscape("gray transaction") + "&algo=bidirectional&k=10"
 	wantAnswers, wantTrailer := fetchStream(t, single.URL+path)

@@ -315,7 +315,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	// The body mirrors the shard /v1/batch form: results[i] and
 	// errors[i] answer queries[i], exactly one of the pair non-null.
-	// Element-level clamps (k, workers, timeout) are disclosed on each
+	// Element-level clamps (k, timeout) are disclosed on each
 	// element, as resolved by the shards.
 	elems := make([]*routedElem, len(bodies))
 	errs := make([]*errorJSON, len(bodies))

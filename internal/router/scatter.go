@@ -19,13 +19,15 @@ import (
 // statsJSON mirrors the shard server's wire stats (internal/server
 // statsJSON) so per-shard counters can be decoded and aggregated.
 type statsJSON struct {
-	NodesExplored    int     `json:"nodes_explored"`
-	NodesTouched     int     `json:"nodes_touched"`
-	EdgesRelaxed     int     `json:"edges_relaxed"`
-	AnswersGenerated int     `json:"answers_generated"`
-	WorkersUsed      int     `json:"workers_used"`
-	DurationMS       float64 `json:"duration_ms"`
-	BudgetExhausted  bool    `json:"budget_exhausted,omitempty"`
+	NodesExplored    int `json:"nodes_explored"`
+	NodesTouched     int `json:"nodes_touched"`
+	EdgesRelaxed     int `json:"edges_relaxed"`
+	AnswersGenerated int `json:"answers_generated"`
+	// WorkersUsed stays on the wire for compatibility. Searches run
+	// serially, so shards report 0, and the router always reports 0.
+	WorkersUsed     int     `json:"workers_used"`
+	DurationMS      float64 `json:"duration_ms"`
+	BudgetExhausted bool    `json:"budget_exhausted,omitempty"`
 }
 
 // shardLine is one NDJSON line of a shard's /v1/search/stream response —
@@ -448,13 +450,12 @@ func mergeResults(results []*shardResult) []*wireAnswer {
 
 // aggregate folds the per-shard trailers into the routed response's
 // summary fields. Work counters sum across shards (the fan-out really
-// did all of it); duration is the slowest shard (the critical path);
-// workers_used is the widest intra-query parallelism any shard applied
-// (shards run concurrently, so summing would overstate it). Truncated,
-// degraded and budget_exhausted are sticky ORs; cached only when every
-// shard answered from its cache — whichever replica answered, so a
-// failover to a cold replica correctly reports cached:false. Failovers
-// counts extra replica attempts across all shards (retry disclosure).
+// did all of it); duration is the slowest shard (the critical path).
+// Truncated, degraded and budget_exhausted are sticky ORs; cached only
+// when every shard answered from its cache — whichever replica answered,
+// so a failover to a cold replica correctly reports cached:false.
+// Failovers counts extra replica attempts across all shards (retry
+// disclosure).
 // Identity fields (query_id, algo, k, clamped) come from shard 0 —
 // identical across identically-configured shards, since the query ID is
 // a content hash of the query itself.
@@ -497,9 +498,6 @@ func aggregate(results []*shardResult) aggregateTrailer {
 		agg.stats.EdgesRelaxed += t.Stats.EdgesRelaxed
 		agg.stats.AnswersGenerated += t.Stats.AnswersGenerated
 		agg.stats.BudgetExhausted = agg.stats.BudgetExhausted || t.Stats.BudgetExhausted
-		if t.Stats.WorkersUsed > agg.stats.WorkersUsed {
-			agg.stats.WorkersUsed = t.Stats.WorkersUsed
-		}
 		if t.Stats.DurationMS > agg.stats.DurationMS {
 			agg.stats.DurationMS = t.Stats.DurationMS
 		}

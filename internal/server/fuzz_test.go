@@ -44,7 +44,7 @@ func FuzzDecodeSearchRequest(f *testing.F) {
 
 	// MaxK below core.DefaultK on purpose: an omitted k runs as the
 	// default, and the cap must bind that too, not just explicit values.
-	lim := TenantLimits{MaxK: 5, MaxWorkers: 3, MaxTimeoutMS: 500, DefaultTimeoutMS: 200, MaxBatch: 4}
+	lim := TenantLimits{MaxK: 5, MaxTimeoutMS: 500, DefaultTimeoutMS: 200, MaxBatch: 4}
 
 	f.Fuzz(func(t *testing.T, data string, asJSON bool) {
 		var r *http.Request
@@ -85,9 +85,6 @@ func FuzzDecodeSearchRequest(f *testing.F) {
 		if effK := req.Opts.Normalized().K; effK > lim.MaxK {
 			t.Fatalf("normalized k %d escaped the cap %d", effK, lim.MaxK)
 		}
-		if req.Opts.Workers > lim.MaxWorkers {
-			t.Fatalf("workers %d escaped the cap %d", req.Opts.Workers, lim.MaxWorkers)
-		}
 		if req.Timeout <= 0 || req.Timeout > lim.MaxTimeout() {
 			t.Fatalf("timeout %v outside (0, %v]", req.Timeout, lim.MaxTimeout())
 		}
@@ -123,7 +120,7 @@ func FuzzDecodeStreamRequest(f *testing.F) {
 		f.Add(s, false)
 	}
 
-	lim := TenantLimits{MaxK: 5, MaxWorkers: 3, MaxTimeoutMS: 500, DefaultTimeoutMS: 200, MaxBatch: 4, MaxInFlight: 2}
+	lim := TenantLimits{MaxK: 5, MaxTimeoutMS: 500, DefaultTimeoutMS: 200, MaxBatch: 4, MaxInFlight: 2}
 
 	f.Fuzz(func(t *testing.T, data string, asJSON bool) {
 		var r *http.Request
@@ -152,9 +149,6 @@ func FuzzDecodeStreamRequest(f *testing.F) {
 		if effK := req.Opts.Normalized().K; effK > lim.MaxK {
 			t.Fatalf("normalized k %d escaped the cap %d", effK, lim.MaxK)
 		}
-		if req.Opts.Workers > lim.MaxWorkers {
-			t.Fatalf("workers %d escaped the cap %d", req.Opts.Workers, lim.MaxWorkers)
-		}
 		if req.Timeout <= 0 || req.Timeout > lim.MaxTimeout() {
 			t.Fatalf("timeout %v outside (0, %v]", req.Timeout, lim.MaxTimeout())
 		}
@@ -176,7 +170,7 @@ func FuzzDecodeBatchRequest(f *testing.F) {
 	f.Add(`{"queries":[]}`)
 	f.Add(`not json`)
 
-	lim := TenantLimits{MaxK: 5, MaxWorkers: 3, MaxTimeoutMS: 500, DefaultTimeoutMS: 200, MaxBatch: 4}
+	lim := TenantLimits{MaxK: 5, MaxTimeoutMS: 500, DefaultTimeoutMS: 200, MaxBatch: 4}
 
 	f.Fuzz(func(t *testing.T, data string) {
 		r := httptest.NewRequest(http.MethodPost, "/v1/batch", strings.NewReader(data))
@@ -197,7 +191,7 @@ func FuzzDecodeBatchRequest(f *testing.F) {
 			if req == nil {
 				t.Fatalf("nil element %d in accepted batch", i)
 			}
-			if effK := req.Opts.Normalized().K; effK > lim.MaxK || req.Opts.Workers > lim.MaxWorkers {
+			if effK := req.Opts.Normalized().K; effK > lim.MaxK {
 				t.Fatalf("element %d escaped caps: %+v", i, req.Opts)
 			}
 		}

@@ -42,13 +42,15 @@ type answerJSON struct {
 
 // statsJSON carries the §5.2 performance counters over the wire.
 type statsJSON struct {
-	NodesExplored    int     `json:"nodes_explored"`
-	NodesTouched     int     `json:"nodes_touched"`
-	EdgesRelaxed     int     `json:"edges_relaxed"`
-	AnswersGenerated int     `json:"answers_generated"`
-	WorkersUsed      int     `json:"workers_used"`
-	DurationMS       float64 `json:"duration_ms"`
-	BudgetExhausted  bool    `json:"budget_exhausted,omitempty"`
+	NodesExplored    int `json:"nodes_explored"`
+	NodesTouched     int `json:"nodes_touched"`
+	EdgesRelaxed     int `json:"edges_relaxed"`
+	AnswersGenerated int `json:"answers_generated"`
+	// WorkersUsed is always 0: searches run serially. It stays on the
+	// wire for compatibility.
+	WorkersUsed     int     `json:"workers_used"`
+	DurationMS      float64 `json:"duration_ms"`
+	BudgetExhausted bool    `json:"budget_exhausted,omitempty"`
 }
 
 func (s *Server) statsJSON(st banks.Stats) statsJSON {
@@ -57,7 +59,6 @@ func (s *Server) statsJSON(st banks.Stats) statsJSON {
 		NodesTouched:     st.NodesTouched,
 		EdgesRelaxed:     st.EdgesRelaxed,
 		AnswersGenerated: st.AnswersGenerated,
-		WorkersUsed:      st.WorkersUsed,
 		DurationMS:       float64(st.Duration) / float64(time.Millisecond),
 		BudgetExhausted:  st.BudgetExhausted,
 	}
@@ -186,7 +187,14 @@ func queryCtx(r *http.Request, timeout time.Duration) (context.Context, context.
 // errored queries have no execution time and contribute only to the
 // outcome counter.
 func (s *Server) runSearch(ctx context.Context, req *searchRequest) (*banks.Result, *banks.Memo, *httpError) {
-	res, memo, err := s.eng.SearchMemo(ctx, req.Query, req.Algo, req.Opts)
+	var (
+		res  *banks.Result
+		memo *banks.Memo
+	)
+	err := req.optionsError()
+	if err == nil {
+		res, memo, err = s.eng.SearchMemo(ctx, req.Query, req.Algo, req.Opts)
+	}
 	if err != nil {
 		s.met.observeQuery(string(req.Algo), outcomeError, 0)
 		return nil, nil, mapQueryError(err)
@@ -306,7 +314,14 @@ func (s *Server) handleNear(w http.ResponseWriter, r *http.Request) {
 	req.Algo = "near"
 	ctx, cancel := queryCtx(r, req.Timeout)
 	defer cancel()
-	res, stats, err := s.eng.Near(ctx, req.Query, req.Opts)
+	var (
+		res   []banks.NearResult
+		stats banks.Stats
+	)
+	err := req.optionsError()
+	if err == nil {
+		res, stats, err = s.eng.Near(ctx, req.Query, req.Opts)
+	}
 	if err != nil {
 		s.met.observeQuery("near", outcomeError, 0)
 		annotate(r, req.queryID(), 0, false)
@@ -347,11 +362,23 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := queryCtx(r, timeout)
 	defer cancel()
 
-	queries := make([]banks.BatchQuery, len(reqs))
+	// Elements with invalid options fail on their own; the rest run as
+	// one engine batch.
+	results := make([]*banks.Result, len(reqs))
+	memos := make([]*banks.Memo, len(reqs))
+	errs := make([]error, len(reqs))
+	queries := make([]banks.BatchQuery, 0, len(reqs))
+	valid := make([]int, 0, len(reqs))
 	for i, req := range reqs {
-		queries[i] = banks.BatchQuery{Query: req.Query, Algo: req.Algo, Opts: req.Opts}
+		if errs[i] = req.optionsError(); errs[i] == nil {
+			queries = append(queries, banks.BatchQuery{Query: req.Query, Algo: req.Algo, Opts: req.Opts})
+			valid = append(valid, i)
+		}
 	}
-	results, memos, errs := s.eng.SearchBatchMemo(ctx, queries)
+	rs, ms, es := s.eng.SearchBatchMemo(ctx, queries)
+	for j, i := range valid {
+		results[i], memos[i], errs[i] = rs[j], ms[j], es[j]
+	}
 
 	// The body is {"clamped":…,"results":[…],"errors":[…]}: results[i]
 	// and errors[i] mirror queries[i], exactly one of the pair non-null.

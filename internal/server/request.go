@@ -78,9 +78,12 @@ func mapQueryError(err error) *httpError {
 // and fields are rejected so client typos fail loudly instead of
 // silently running with defaults.
 type searchParams struct {
-	Query         string  `json:"query"`
-	Algo          string  `json:"algo,omitempty"`
-	K             int     `json:"k,omitempty"`
+	Query string `json:"query"`
+	Algo  string `json:"algo,omitempty"`
+	K     int    `json:"k,omitempty"`
+	// Workers is accepted for wire compatibility and validated (a
+	// negative value is a bad_options error), but searches run serially
+	// and ignore it.
 	Workers       int     `json:"workers,omitempty"`
 	TimeoutMS     int64   `json:"timeout_ms,omitempty"`
 	MaxNodes      int     `json:"max_nodes,omitempty"`
@@ -101,12 +104,28 @@ type searchRequest struct {
 	// Clamped lists the wire fields the tenant limits reduced, so
 	// responses can disclose that the request was not run as asked.
 	Clamped []string
+	// workers is the wire workers field, checked by optionsError.
+	workers int
+}
+
+// optionsError reports an invalid option the way a search would, before
+// one runs: core's own validation first, then the wire-only workers
+// field, which must be non-negative although searches ignore it.
+func (r *searchRequest) optionsError() error {
+	if r.workers >= 0 {
+		return nil
+	}
+	if err := r.Opts.Validate(); err != nil {
+		return err
+	}
+	return &core.OptionsError{Field: "Workers", Reason: "must be non-negative"}
 }
 
 // queryID derives the stable identifier logged and returned for a query:
 // a hash of the normalized terms, the algorithm, and the options that
-// change the answer (deadline and workers are excluded — they affect how
-// long the search runs, not which query it is). Identical logical queries
+// change the answer (the deadline is excluded — it affects how long the
+// search runs, not which query it is — and so is the ignored workers
+// field). Identical logical queries
 // therefore share an ID across requests, retries and replicas, which is
 // what makes server logs greppable by query.
 func (r *searchRequest) queryID() string {
@@ -297,7 +316,6 @@ func (p *searchParams) resolve(lim TenantLimits) (*searchRequest, *httpError) {
 		Algo:  algo,
 		Opts: banks.Options{
 			K:             p.K,
-			Workers:       p.Workers,
 			MaxNodes:      p.MaxNodes,
 			DMax:          p.DMax,
 			Mu:            p.Mu,
@@ -306,6 +324,7 @@ func (p *searchParams) resolve(lim TenantLimits) (*searchRequest, *httpError) {
 			ActivationSum: p.ActivationSum,
 		},
 		Timeout: time.Duration(p.TimeoutMS) * time.Millisecond,
+		workers: p.Workers,
 	}
 	// The cap applies to the k the search would actually run with: an
 	// omitted k means core's default (10), which a tighter tenant cap
@@ -320,10 +339,6 @@ func (p *searchParams) resolve(lim TenantLimits) (*searchRequest, *httpError) {
 			req.Opts.K = lim.MaxK
 			req.Clamped = append(req.Clamped, "k")
 		}
-	}
-	if req.Opts.Workers > lim.MaxWorkers {
-		req.Opts.Workers = lim.MaxWorkers
-		req.Clamped = append(req.Clamped, "workers")
 	}
 	var timeoutClamped bool
 	req.Timeout, timeoutClamped = clampTimeout(req.Timeout, lim)

@@ -22,7 +22,7 @@
 // with 429 + Retry-After, keeping the latency tail flat under overload;
 // streams hold their slot for their full duration); per-tenant limits
 // resolved from the X-Tenant header clamp what an admitted request may
-// ask for (k, intra-query workers, deadline); the engine's worker pool
+// ask for (k, deadline); the engine's worker pool
 // bounds actual search execution; and every query runs under a deadline,
 // returning its partial top-k with truncated=true rather than failing
 // when time runs out. Streaming responses end with a trailer line

@@ -50,8 +50,7 @@ type streamTrailerLine struct {
 // decodeStreamRequest decodes and tenant-resolves one /v1/search/stream
 // query. The stream endpoint accepts exactly the /v1/search parameter
 // surface — same strict decoding, same tenant clamps — so asking for a
-// stream can never smuggle k, workers or a deadline past the tenant
-// caps. It is a separate seam (and fuzz target: FuzzDecodeStreamRequest)
+// stream can never smuggle k or a deadline past the tenant caps. It is a separate seam (and fuzz target: FuzzDecodeStreamRequest)
 // so the stream surface can diverge later without loosening /v1/search.
 func decodeStreamRequest(r *http.Request, lim TenantLimits) (*searchRequest, *httpError) {
 	return decodeSearchRequest(r, lim)
@@ -67,8 +66,12 @@ func (s *Server) handleSearchStream(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := queryCtx(r, req.Timeout)
 	defer cancel()
-	st, err := s.eng.SearchStream(ctx, req.Query, req.Algo, req.Opts,
-		banks.StreamOptions{DropToBatch: s.streamDropToBatch})
+	var st *banks.Stream
+	err := req.optionsError()
+	if err == nil {
+		st, err = s.eng.SearchStream(ctx, req.Query, req.Algo, req.Opts,
+			banks.StreamOptions{DropToBatch: s.streamDropToBatch})
+	}
 	if err != nil {
 		s.met.observeQuery(string(req.Algo), outcomeError, 0)
 		annotate(r, req.queryID(), 0, false)

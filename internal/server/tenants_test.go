@@ -32,20 +32,17 @@ func TestTenantResolve(t *testing.T) {
 		{
 			name:   "no header gets config default over builtins",
 			tenant: "",
-			want: TenantLimits{MaxK: 50, MaxWorkers: BuiltinMaxWorkers,
-				MaxTimeoutMS: BuiltinMaxTimeout.Milliseconds(), DefaultTimeoutMS: 1000, MaxBatch: BuiltinMaxBatch, MaxMutateOps: BuiltinMaxMutateOps},
+			want:   TenantLimits{MaxK: 50, MaxTimeoutMS: BuiltinMaxTimeout.Milliseconds(), DefaultTimeoutMS: 1000, MaxBatch: BuiltinMaxBatch, MaxMutateOps: BuiltinMaxMutateOps},
 		},
 		{
 			name:   "unknown tenant falls back to default chain",
 			tenant: "nobody",
-			want: TenantLimits{MaxK: 50, MaxWorkers: BuiltinMaxWorkers,
-				MaxTimeoutMS: BuiltinMaxTimeout.Milliseconds(), DefaultTimeoutMS: 1000, MaxBatch: BuiltinMaxBatch, MaxMutateOps: BuiltinMaxMutateOps},
+			want:   TenantLimits{MaxK: 50, MaxTimeoutMS: BuiltinMaxTimeout.Milliseconds(), DefaultTimeoutMS: 1000, MaxBatch: BuiltinMaxBatch, MaxMutateOps: BuiltinMaxMutateOps},
 		},
 		{
 			name:   "tight tenant overrides, inherits the rest",
 			tenant: "autocomplete",
-			want: TenantLimits{MaxK: 5, MaxWorkers: BuiltinMaxWorkers,
-				MaxTimeoutMS: 100, DefaultTimeoutMS: 50, MaxBatch: BuiltinMaxBatch, MaxMutateOps: BuiltinMaxMutateOps},
+			want:   TenantLimits{MaxK: 5, MaxTimeoutMS: 100, DefaultTimeoutMS: 50, MaxBatch: BuiltinMaxBatch, MaxMutateOps: BuiltinMaxMutateOps},
 		},
 		{
 			name:   "generous tenant may raise caps above builtins",
@@ -59,8 +56,7 @@ func TestTenantResolve(t *testing.T) {
 			// omitting a timeout would beat any legal value.
 			name:   "inherited default deadline is bounded by the tenant cap",
 			tenant: "tight",
-			want: TenantLimits{MaxK: 50, MaxWorkers: BuiltinMaxWorkers,
-				MaxTimeoutMS: 100, DefaultTimeoutMS: 100, MaxBatch: BuiltinMaxBatch, MaxMutateOps: BuiltinMaxMutateOps},
+			want:   TenantLimits{MaxK: 50, MaxTimeoutMS: 100, DefaultTimeoutMS: 100, MaxBatch: BuiltinMaxBatch, MaxMutateOps: BuiltinMaxMutateOps},
 		},
 	}
 	for _, tc := range cases {
@@ -81,7 +77,6 @@ func TestTenantClamping(t *testing.T) {
 		tenant      string
 		params      searchParams
 		wantK       int
-		wantWorkers int
 		wantTimeout time.Duration
 		wantClamped []string
 	}{
@@ -119,19 +114,10 @@ func TestTenantClamping(t *testing.T) {
 			wantClamped: []string{"k"},
 		},
 		{
-			name:        "workers above the default cap are clamped",
-			tenant:      "",
-			params:      searchParams{Query: "database query", Workers: 32},
-			wantWorkers: BuiltinMaxWorkers,
-			wantTimeout: time.Second,
-			wantClamped: []string{"workers"},
-		},
-		{
 			name:        "generous tenant keeps what default would clamp",
 			tenant:      "analytics",
 			params:      searchParams{Query: "database query", K: 500, Workers: 12, TimeoutMS: 20000},
 			wantK:       500,
-			wantWorkers: 12,
 			wantTimeout: 20 * time.Second,
 		},
 		{
@@ -149,9 +135,6 @@ func TestTenantClamping(t *testing.T) {
 			}
 			if req.Opts.K != tc.wantK {
 				t.Errorf("K = %d, want %d", req.Opts.K, tc.wantK)
-			}
-			if req.Opts.Workers != tc.wantWorkers {
-				t.Errorf("Workers = %d, want %d", req.Opts.Workers, tc.wantWorkers)
 			}
 			if req.Timeout != tc.wantTimeout {
 				t.Errorf("Timeout = %v, want %v", req.Timeout, tc.wantTimeout)
@@ -211,6 +194,11 @@ func TestLoadTenants(t *testing.T) {
 	if got := cfg.Resolve("a").MaxK; got != 5 {
 		t.Fatalf("loaded config: MaxK = %d, want 5", got)
 	}
+	// max_workers has no effect any more, but files that set it load.
+	if _, err := LoadTenants(write("workers.json",
+		`{"default":{"max_workers":8},"tenants":{"a":{"max_workers":16}}}`)); err != nil {
+		t.Fatalf("tenant file with max_workers: %v", err)
+	}
 
 	cases := []struct {
 		name, content string
@@ -218,6 +206,7 @@ func TestLoadTenants(t *testing.T) {
 		{"unknown field", `{"default":{"max_kk":50}}`},
 		{"negative cap", `{"default":{"max_k":-2}}`},
 		{"negative tenant cap", `{"tenants":{"a":{"max_batch":-1}}}`},
+		{"negative max_workers", `{"default":{"max_workers":-1}}`},
 		{"not json", `max_k: 50`},
 	}
 	for _, tc := range cases {
